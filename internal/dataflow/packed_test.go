@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/cachefile"
 	"repro/internal/ir"
 	"repro/internal/lattice"
 	"repro/internal/synth"
@@ -183,6 +184,34 @@ func TestPackedReferenceDifferential(t *testing.T) {
 				checkResultsIdentical(t, name+"/"+spec.Name+"/"+v.name, packed, ref)
 			}
 		}
+	}
+}
+
+// TestPersistDoesNotPinInitSnapshot checks that encoding a packed result
+// for the disk cache reports and writes its deferred init snapshot without
+// leaving a decoded copy on the result, and that the rows restore it.
+func TestPersistDoesNotPinInitSnapshot(t *testing.T) {
+	g := buildLoop(t, fig1)
+	spec := standardTestSpecs()[0] // must-reaching-defs runs the init pass
+	res := Solve(g, spec, &Options{Engine: EnginePacked})
+	if res.initW == nil {
+		t.Fatal("packed must-problem solve deferred no init snapshot")
+	}
+	meta := res.PersistMeta()
+	var w cachefile.Writer
+	res.EncodeRows(&w)
+	if !meta.HasInit {
+		t.Error("HasInit = false for a deferred init snapshot")
+	}
+	if res.initIn != nil || res.initOut != nil {
+		t.Error("persisting decoded the deferred init snapshot onto the result")
+	}
+	restored, err := RestoreResult(g, spec, meta, w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restored.TupleTable(0), res.TupleTable(0); got != want {
+		t.Errorf("restored init snapshot differs:\n%s\nwant:\n%s", got, want)
 	}
 }
 

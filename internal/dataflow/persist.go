@@ -50,11 +50,13 @@ type ResultMeta struct {
 }
 
 // PersistMeta extracts the persistent counters and shape of a live result.
+// A deferred packed init snapshot is reported present without decoding it
+// (InitIn only runs for results that never had one deferred).
 func (res *Result) PersistMeta() ResultMeta {
 	return ResultMeta{
 		Nodes:         len(res.Graph.Nodes),
 		Classes:       len(res.Classes),
-		HasInit:       res.InitIn() != nil,
+		HasInit:       res.initW != nil || res.InitIn() != nil,
 		Passes:        res.Passes,
 		ChangedPasses: res.ChangedPasses,
 		NodeVisits:    res.NodeVisits,
@@ -164,9 +166,7 @@ func (res *Result) EncodeRows(w *cachefile.Writer) {
 	m := len(res.Classes)
 	encodeRows(w, res.In, n, m)
 	encodeRows(w, res.Out, n, m)
-	// Materialize a deferred packed init snapshot before writing; restored
-	// results hold it decoded.
-	initIn, initOut := res.InitIn(), res.InitOut()
+	initIn, initOut := res.initSnapshot()
 	if initIn != nil {
 		encodeRows(w, initIn, n, m)
 		encodeRows(w, initOut, n, m)

@@ -657,18 +657,33 @@ func (res *Result) decodeInit() {
 		if res.initIn != nil || res.initW == nil {
 			return
 		}
-		n := len(res.Graph.Nodes)
-		m := len(res.Classes)
-		pk := &res.initPk
-		words := pk.Words
-		in := lattice.Slab(n, m)
-		out := lattice.Slab(n, m)
-		for id := 1; id <= n; id++ {
-			pk.DecodeRow(in[id], res.initW[id*words:(id+1)*words])
-			pk.DecodeRow(out[id], res.initW[(n+1+id)*words:(n+2+id)*words])
-		}
-		res.initIn, res.initOut = in, out
+		res.initIn, res.initOut = res.decodeInitW()
 	})
+}
+
+// initSnapshot returns the init snapshot without keeping a decoded copy of
+// a deferred packed one on the result, for one-off readers (the disk
+// encoder) that must not pin it.
+func (res *Result) initSnapshot() (in, out []lattice.Tuple) {
+	if res.initW != nil {
+		return res.decodeInitW()
+	}
+	return res.InitIn(), res.InitOut()
+}
+
+// decodeInitW decodes the packed init-pass words into fresh slabs.
+func (res *Result) decodeInitW() (in, out []lattice.Tuple) {
+	n := len(res.Graph.Nodes)
+	m := len(res.Classes)
+	pk := &res.initPk
+	words := pk.Words
+	in = lattice.Slab(n, m)
+	out = lattice.Slab(n, m)
+	for id := 1; id <= n; id++ {
+		pk.DecodeRow(in[id], res.initW[id*words:(id+1)*words])
+		pk.DecodeRow(out[id], res.initW[(n+1+id)*words:(n+2+id)*words])
+	}
+	return in, out
 }
 
 // prOf computes pr(class, n): 0 when any member of the class occurs in a

@@ -70,24 +70,13 @@ func (sv *solved) materialize() *solvedParts {
 }
 
 // newSolvedEager wraps freshly-computed parts, deriving the per-spec
-// counters from the live results. Deliberately not PersistMeta: that would
-// materialize each result's deferred init snapshot on every fresh solve;
-// HasInit is only meaningful on the encode side, which re-derives it.
+// counters from the live results.
 func newSolvedEager(parts *solvedParts, specs []*dataflow.Spec) *solved {
 	sv := &solved{parts: parts, meta: make([]specMeta, 0, len(specs))}
 	for _, spec := range specs {
-		res := parts.results[spec.Name]
-		if res == nil {
-			continue
+		if res := parts.results[spec.Name]; res != nil {
+			sv.meta = append(sv.meta, specMeta{name: spec.Name, meta: res.PersistMeta()})
 		}
-		m := res.Metrics()
-		sv.meta = append(sv.meta, specMeta{name: spec.Name, meta: dataflow.ResultMeta{
-			Nodes: m.Nodes, Classes: m.Classes,
-			Passes: m.Passes, ChangedPasses: m.ChangedPasses,
-			NodeVisits: m.NodeVisits, FlowApps: m.FlowApps,
-			Elapsed: m.Elapsed, FuelBudget: res.FuelBudget,
-			FuelExhausted: m.FuelExhausted,
-		}})
 	}
 	return sv
 }
@@ -99,8 +88,10 @@ func newSolvedEager(parts *solvedParts, specs []*dataflow.Spec) *solved {
 // yield exactly k misses — no matter how the scheduler interleaves workers.
 type cacheEntry struct {
 	once sync.Once
-	sv   *solved
-	err  error
+	// sv is published inside once; the claimer may later swap in the
+	// compact form of a freshly solved value once it is on disk.
+	sv  atomic.Pointer[solved]
+	err error
 	// diskHit and loadBytes record how the claiming goroutine filled the
 	// entry (written inside once, read by the claimer after once returns;
 	// the Once's happens-before edge covers later claimants too).
@@ -529,20 +520,29 @@ func solveLoop(loop *ast.DoLoop, facts *rangefacts.Facts, env *solveEnv, sc *dat
 		claimed = true
 		if env.disk != nil {
 			if sv, n, ok := env.disk.load(key, loop, oracle, env); ok {
-				e.sv, e.diskHit, e.loadBytes = sv, true, n
+				e.sv.Store(sv)
+				e.diskHit, e.loadBytes = true, n
 				return
 			}
 		}
-		e.sv, e.err = solveLoopFresh(loop, env.specs, env.dims, env.engine, env.fuel, oracle, sc)
+		sv, err := solveLoopFresh(loop, env.specs, env.dims, env.engine, env.fuel, oracle, sc)
+		e.sv.Store(sv)
+		e.err = err
 	})
+	sv := e.sv.Load()
 	out := solveOutcome{hit: hit}
 	if claimed {
 		out.diskHit, out.loadBytes = e.diskHit, e.loadBytes
 		if env.disk != nil && !e.diskHit && e.err == nil {
-			out.storeBytes = env.disk.store(key, env.specs, e.sv)
+			// Later claimants get the compact form, as if loaded from
+			// disk; this request keeps the eager parts it just built.
+			var compact *solved
+			if out.storeBytes, compact = env.disk.store(key, loop, oracle, env, sv); compact != nil {
+				e.sv.Store(compact)
+			}
 		}
 	}
-	return e.sv, out, e.err
+	return sv, out, e.err
 }
 
 // factsOracle adapts a fact environment to the solver's oracle interface.

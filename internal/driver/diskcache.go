@@ -104,10 +104,14 @@ type DiskStats struct {
 	Hits, Misses, Stores int64
 	// Errors counts entries that existed but could not be used (truncated,
 	// bit-flipped, stale format, shape mismatch) plus failed writes. Every
-	// one degraded to a cold solve, never a failure.
+	// one degraded to a cold solve, never a failure. A compact memo entry
+	// whose row blobs fail to restore counts here too.
 	Errors int64
 	// LoadNS / StoreNS are cumulative wall nanoseconds spent reading /
-	// writing entries; LoadBytes / StoreBytes the payload volumes.
+	// writing entries (a disk hit's deferred materialization included);
+	// LoadBytes / StoreBytes the payload volumes. Materializing a compact
+	// memo entry — a fresh solve kept as its stored form — is a memory
+	// hit, not a disk load, and adds to neither Hits nor LoadNS.
 	LoadNS, StoreNS       int64
 	LoadBytes, StoreBytes int64
 }
@@ -190,9 +194,19 @@ func (dc *diskCache) load(key memoKey, loop *ast.DoLoop, oracle dataflow.RangeOr
 	if !r.Done() {
 		return nil, 0, false
 	}
-	dims, engine, fuel := env.dims, env.engine, env.fuel
-	metas := sv.meta
-	sv.fill = func() *solvedParts {
+	sv.fill = lazyFill(loop, oracle, env, sv.meta, blobs, true)
+	return sv, int64(len(data)), true
+}
+
+// lazyFill returns the deferred half of a compact solved value: the graph
+// rebuild, row decode, and reuse extraction from the persisted row blobs.
+// It serves disk loads and fresh solves whose memo entry was compacted
+// after the disk store; only the former count the materialization time in
+// DiskCacheStats().LoadNS. A payload that does not match the rebuilt graph
+// counts as a disk error either way and falls back to a fresh solve.
+func lazyFill(loop *ast.DoLoop, oracle dataflow.RangeOracle, env *solveEnv, metas []specMeta, blobs [][]byte, fromDisk bool) func() *solvedParts {
+	specs, dims, engine, fuel := env.specs, env.dims, env.engine, env.fuel
+	return func() *solvedParts {
 		t0 := time.Now()
 		parts, err := restoreParts(loop, specs, dims, oracle, metas, blobs)
 		if err != nil {
@@ -211,12 +225,13 @@ func (dc *diskCache) load(key memoKey, loop *ast.DoLoop, oracle dataflow.RangeOr
 					results: map[string]*dataflow.Result{}}
 			}
 		}
-		// Materialization is part of the cost of serving from disk; fold it
-		// into the load-time counter so the stats stay honest.
-		diskStats.loadNS.Add(time.Since(t0).Nanoseconds())
+		if fromDisk {
+			// Materialization is part of the cost of serving from disk;
+			// fold it into the load-time counter so the stats stay honest.
+			diskStats.loadNS.Add(time.Since(t0).Nanoseconds())
+		}
 		return parts
 	}
-	return sv, int64(len(data)), true
 }
 
 // restoreParts rebuilds the graph-entangled artifacts of a disk entry: the
@@ -248,33 +263,42 @@ func restoreParts(loop *ast.DoLoop, specs []*dataflow.Spec, dims map[string][]po
 	return parts, nil
 }
 
-// store writes the solved value for key, atomically. Returns the bytes
-// written (0 on failure; failures only surface in DiskCacheStats().Errors).
-func (dc *diskCache) store(key memoKey, specs []*dataflow.Spec, sv *solved) int64 {
+// store writes the solved value for key, atomically, and returns the bytes
+// written (0 on failure; failures only surface in DiskCacheStats().Errors)
+// together with the value's compact form — counters, row blobs, and a
+// lazy fill, exactly what load would build from the written entry — for
+// the memo table to keep in place of the eager parts (nil on failure).
+func (dc *diskCache) store(key memoKey, loop *ast.DoLoop, oracle dataflow.RangeOracle, env *solveEnv, sv *solved) (int64, *solved) {
 	start := time.Now()
+	specs := env.specs
 	parts := sv.materialize()
 	var w cachefile.Writer
-	var rw cachefile.Writer
 	w.Uint(uint64(len(specs)))
+	compact := &solved{meta: make([]specMeta, 0, len(specs))}
+	blobs := make([][]byte, 0, len(specs))
 	for _, spec := range specs {
 		res := parts.results[spec.Name]
 		if res == nil {
-			return 0
+			return 0, nil
 		}
-		w.String(spec.Name)
-		res.PersistMeta().Encode(&w)
-		rw = cachefile.Writer{}
+		meta := res.PersistMeta()
+		var rw cachefile.Writer
 		res.EncodeRows(&rw)
+		w.String(spec.Name)
+		meta.Encode(&w)
 		w.Blob(rw.Bytes())
+		compact.meta = append(compact.meta, specMeta{name: spec.Name, meta: meta})
+		blobs = append(blobs, append([]byte(nil), rw.Bytes()...)) // exact size: the entry keeps it
 	}
 	img := cachefile.Encode(dc.schema, key.fp.Hi, key.fp.Lo, w.Bytes())
 	if err := cachefile.WriteAtomic(dc.entryPath(key), img); err != nil {
 		diskStats.errors.Add(1)
-		return 0
+		return 0, nil
 	}
 	n := int64(len(img))
 	diskStats.stores.Add(1)
 	diskStats.storeBytes.Add(n)
 	diskStats.storeNS.Add(time.Since(start).Nanoseconds())
-	return n
+	compact.fill = lazyFill(loop, oracle, env, compact.meta, blobs, false)
+	return n, compact
 }

@@ -11,6 +11,7 @@ package interp
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/ast"
@@ -25,12 +26,21 @@ type Elem struct {
 	Key string
 }
 
-func elemKey(subs []int64) string {
-	parts := make([]string, len(subs))
+// AppendElemKey appends the element-key encoding of a subscript tuple to
+// b: the decimal subscripts joined by commas ("3", "-1,0").
+func AppendElemKey(b []byte, subs []int64) []byte {
 	for i, s := range subs {
-		parts[i] = fmt.Sprintf("%d", s)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, s, 10)
 	}
-	return strings.Join(parts, ",")
+	return b
+}
+
+func elemKey(subs []int64) string {
+	var buf [64]byte
+	return string(AppendElemKey(buf[:0], subs))
 }
 
 // State is the mutable program state.
@@ -46,16 +56,17 @@ func NewState() *State {
 
 // Clone deep-copies the state.
 func (s *State) Clone() *State {
-	out := NewState()
-	for k, v := range s.Scalars {
-		out.Scalars[k] = v
-	}
+	out := &State{Scalars: cloneCells(s.Scalars), Arrays: make(map[string]map[string]int64, len(s.Arrays))}
 	for a, m := range s.Arrays {
-		cm := make(map[string]int64, len(m))
-		for k, v := range m {
-			cm[k] = v
-		}
-		out.Arrays[a] = cm
+		out.Arrays[a] = cloneCells(m)
+	}
+	return out
+}
+
+func cloneCells(m map[string]int64) map[string]int64 {
+	out := make(map[string]int64, len(m))
+	for k, v := range m {
+		out[k] = v
 	}
 	return out
 }
@@ -87,16 +98,40 @@ func (s *State) SetArrayN(name string, idx []int64, v int64) {
 
 // GetArrayN reads a multi-dimensional element.
 func (s *State) GetArrayN(name string, idx []int64) int64 {
-	return s.Arrays[name][elemKey(idx)]
+	var buf [64]byte
+	// Indexing with the converted bytes does not allocate the key.
+	return s.Arrays[name][string(AppendElemKey(buf[:0], idx))]
 }
 
 // ArraysEqual compares the array portions of two states, treating missing
 // entries as zero.
-func ArraysEqual(a, b *State) bool { return DiffArrays(a, b) == "" }
+func ArraysEqual(a, b *State) bool {
+	for n, am := range a.Arrays {
+		bm := b.Arrays[n]
+		for k, v := range am {
+			if bm[k] != v {
+				return false
+			}
+		}
+	}
+	for n, bm := range b.Arrays {
+		am := a.Arrays[n]
+		for k, v := range bm {
+			if _, seen := am[k]; !seen && v != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // DiffArrays describes the first few differences between the array states,
-// or "" when equal (missing entries are zero).
+// or "" when equal (missing entries are zero). Equal states are recognized
+// without sorting; the sorted diff text is built only when they differ.
 func DiffArrays(a, b *State) string {
+	if ArraysEqual(a, b) {
+		return ""
+	}
 	var diffs []string
 	names := map[string]bool{}
 	for n := range a.Arrays {
@@ -195,10 +230,19 @@ type Options struct {
 	// parallel permutation check runs provably-parallel loops through a
 	// shuffled order and compares final memories.
 	LoopOrder func(loop *ast.DoLoop, iters []int64) []int64
+	// ShareInit skips the deep copy of init: the run copies an array on
+	// its first store to it, and the returned state shares every array
+	// the run never stored to with init. The caller must then treat init
+	// and the returned state as read-only. The certification runs, which
+	// start many runs from one seeded state, set it.
+	ShareInit bool
 }
 
 type machine struct {
-	st    *State
+	st *State
+	// owned records the arrays of a ShareInit run already copied out of
+	// init (nil when the whole state was copied up front).
+	owned map[string]bool
 	stats *Stats
 	steps int64
 	max   int64
@@ -216,12 +260,20 @@ func Run(prog *ast.Program, init *State, opts *Options) (*State, *Stats, error) 
 		maxSteps = opts.MaxSteps
 	}
 	m := &machine{
-		st:    init.Clone(),
 		stats: &Stats{ArrayLoads: map[string]int64{}, ArrayStores: map[string]int64{}},
 		max:   maxSteps,
 	}
 	if opts != nil {
 		m.opts = *opts
+	}
+	if m.opts.ShareInit {
+		m.st = &State{Scalars: cloneCells(init.Scalars), Arrays: make(map[string]map[string]int64, len(init.Arrays))}
+		for a, cells := range init.Arrays {
+			m.st.Arrays[a] = cells
+		}
+		m.owned = map[string]bool{}
+	} else {
+		m.st = init.Clone()
 	}
 	if err := m.execBlock(prog.Body); err != nil {
 		return m.st, m.stats, err
@@ -267,6 +319,12 @@ func (m *machine) execStmt(s ast.Stmt) error {
 			}
 			if m.opts.TraceRef != nil {
 				m.opts.TraceRef(lhs, true, idx)
+			}
+			if m.owned != nil && !m.owned[lhs.Name] {
+				m.owned[lhs.Name] = true
+				if cells := m.st.Arrays[lhs.Name]; cells != nil {
+					m.st.Arrays[lhs.Name] = cloneCells(cells)
+				}
 			}
 			m.st.SetArrayN(lhs.Name, idx, v)
 			m.stats.ArrayStores[lhs.Name]++

@@ -1,6 +1,9 @@
 package interp
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/parser"
@@ -216,6 +219,106 @@ func TestDiffArrays(t *testing.T) {
 	c.SetArray("A", 3, 0)
 	if !ArraysEqual(c, d) {
 		t.Fatal("explicit zero must equal missing")
+	}
+}
+
+// TestElemKeyMatchesFmtEncoding pins the element-key encoding to the
+// fmt rendering it replaced: cell keys are compared across packages
+// (witness cells, seeded states), so a single differing byte would
+// silently break replay.
+func TestElemKeyMatchesFmtEncoding(t *testing.T) {
+	fmtKey := func(subs []int64) string {
+		parts := make([]string, len(subs))
+		for i, s := range subs {
+			parts[i] = fmt.Sprintf("%d", s)
+		}
+		return strings.Join(parts, ",")
+	}
+	for _, subs := range [][]int64{
+		nil,
+		{0},
+		{-1},
+		{7},
+		{math.MinInt64},
+		{math.MaxInt64},
+		{-4, 0, 12},
+		{math.MinInt64, -1, 0, math.MaxInt64},
+		{1, 2, 3, 4, 5, 6, 7, 8},
+	} {
+		if got, want := elemKey(subs), fmtKey(subs); got != want {
+			t.Errorf("elemKey(%v) = %q, want %q", subs, got, want)
+		}
+		st := NewState()
+		st.SetArrayN("A", subs, 42)
+		if _, ok := st.Arrays["A"][fmtKey(subs)]; !ok || st.GetArrayN("A", subs) != 42 {
+			t.Errorf("SetArrayN/GetArrayN(%v) do not round-trip through key %q", subs, fmtKey(subs))
+		}
+	}
+}
+
+// TestDiffArraysMissingIsZero checks the equality fast path in both
+// directions — an explicit zero, a missing cell, and a missing array all
+// read as zero — and that differing states still render the sorted diff
+// text, truncated after eight entries.
+func TestDiffArraysMissingIsZero(t *testing.T) {
+	zeros, empty := NewState(), NewState()
+	zeros.SetArray("A", 3, 0)
+	zeros.SetArrayN("B", []int64{1, -2}, 0)
+	empty.Arrays["A"] = map[string]int64{}
+	for _, pair := range [][2]*State{{zeros, empty}, {empty, zeros}} {
+		if d := DiffArrays(pair[0], pair[1]); d != "" {
+			t.Errorf("zero vs missing reported different: %q", d)
+		}
+	}
+
+	a, b := NewState(), NewState()
+	a.SetArray("B", 2, 7)
+	a.SetArray("A", 10, 1)
+	b.SetArray("A", 9, 4)
+	b.SetArrayN("C", []int64{-1, 0}, 0)
+	if got, want := DiffArrays(a, b), "A[10]: 1 vs 0; A[9]: 0 vs 4; B[2]: 7 vs 0"; got != want {
+		t.Errorf("DiffArrays(a, b) = %q, want %q", got, want)
+	}
+	if got, want := DiffArrays(b, a), "A[10]: 0 vs 1; A[9]: 4 vs 0; B[2]: 0 vs 7"; got != want {
+		t.Errorf("DiffArrays(b, a) = %q, want %q", got, want)
+	}
+
+	c, d := NewState(), NewState()
+	for i := int64(1); i <= 9; i++ {
+		c.SetArray("A", i, i)
+	}
+	want := "A[1]: 1 vs 0; A[2]: 2 vs 0; A[3]: 3 vs 0; A[4]: 4 vs 0; A[5]: 5 vs 0; A[6]: 6 vs 0; A[7]: 7 vs 0; A[8]: 8 vs 0; ..."
+	if got := DiffArrays(c, d); got != want {
+		t.Errorf("truncated diff = %q, want %q", got, want)
+	}
+}
+
+// TestShareInitCopiesOnStore runs twice from one shared initial state: a
+// ShareInit run must leave init untouched however much it stores, and must
+// compute the same final state as a run on a private copy.
+func TestShareInitCopiesOnStore(t *testing.T) {
+	prog := parser.MustParse("do i = 1, 4\n  A[i] := B[i] + A[i+1]\nenddo")
+	init := NewState()
+	for i := int64(1); i <= 5; i++ {
+		init.SetArray("A", i, 10*i)
+		init.SetArray("B", i, i)
+	}
+	pristine := init.Clone()
+	want, _, err := Run(prog, init, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ {
+		got, _, err := Run(prog, init, &Options{ShareInit: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := DiffArrays(got, want); d != "" {
+			t.Fatalf("run %d: shared-init result differs from a private copy: %s", run, d)
+		}
+		if d := DiffArrays(init, pristine); d != "" || len(init.Arrays["A"]) != 5 {
+			t.Fatalf("run %d: shared-init run mutated init: %s", run, d)
+		}
 	}
 }
 

@@ -69,11 +69,23 @@ type Context struct {
 	// default); the self-check analyzer forwards it to its re-solves so the
 	// cross-engine comparison sees the same degradation.
 	Fuel int64
+	// runs shares the race analyzer's interpreter runs across the loops of
+	// one RunOn call; nil gives each loop its own.
+	runs *runSet
 }
 
 // Facts returns the loop's range-fact environment (never-nil-safe: every
 // query on a nil environment answers "unknown").
 func (c *Context) Facts() *rangefacts.Facts { return c.Loop.Facts() }
+
+// certRuns returns the interpreter run set the loop's dynamic certification
+// shares with its sibling loops, or a private one.
+func (c *Context) certRuns() *runSet {
+	if c.runs != nil {
+		return c.runs
+	}
+	return newRunSet(c.Program)
+}
 
 // result returns the named problem's solution, or nil when it was not
 // requested.
@@ -199,6 +211,11 @@ func RunOn(file string, pa *driver.ProgramAnalysis, opts *Options) []diag.Findin
 	if opts == nil {
 		opts = &Options{}
 	}
+	return runOn(file, pa, opts, newRunSet(pa.Prog))
+}
+
+// runOn is RunOn with the program's certification run set supplied.
+func runOn(file string, pa *driver.ProgramAnalysis, opts *Options, runs *runSet) []diag.Finding {
 	selected := selectAnalyzers(opts.Analyzers)
 	before := definedBefore(pa.Prog)
 	slots := make([][]diag.Finding, len(pa.Loops))
@@ -212,6 +229,7 @@ func RunOn(file string, pa *driver.ProgramAnalysis, opts *Options) []diag.Findin
 			Src:           opts.Src,
 			Engine:        opts.Engine,
 			Fuel:          opts.Fuel,
+			runs:          runs,
 		}
 		if pa.Metrics != nil && i < len(pa.Metrics.PerLoop) {
 			ctx.Metrics = pa.Metrics.PerLoop[i]

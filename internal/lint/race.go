@@ -227,7 +227,7 @@ func runRace(c *Context) []diag.Finding {
 			},
 		}
 		if c.Program != nil {
-			if err := ReplayWitness(c.Program, loop, w); err != nil {
+			if err := c.certRuns().replayWitness(loop, w); err != nil {
 				out = append(out, diag.Finding{
 					Analyzer: "race",
 					Pos:      pos,
@@ -272,7 +272,7 @@ func runRace(c *Context) []diag.Finding {
 			})
 		}
 		if c.Program != nil {
-			if err := PermutationCheck(c.Program, loop, permutationSeed); err != nil {
+			if err := c.certRuns().permutationCheck(loop, permutationSeed); err != nil {
 				out = append(out, diag.Finding{
 					Analyzer: "race",
 					Pos:      pos,

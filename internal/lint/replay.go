@@ -16,7 +16,9 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
-	"strings"
+	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/interp"
@@ -30,13 +32,132 @@ const permutationSeed = 0x5eed
 // pathological program cannot hang vet.
 const dynamicMaxSteps = 4_000_000
 
+// runKind classifies the interpreter runs a runSet makes.
+type runKind int
+
+const (
+	runProbe   runKind = iota // unseeded run recording every loop's trip
+	runNatural                // seeded run in natural iteration order
+	runReplay                 // seeded run replaying one loop's witness
+	runShuffle                // seeded run with one loop's order shuffled
+	numRunKinds
+)
+
+// runSet holds the interpreter runs that certify one program's loops. A
+// realized scalar environment is usually shared by many loops, so its
+// probe run (which records the largest induction value of every loop),
+// its seeded initial state and its natural-order run are computed once
+// and reused; only a witness replay and a shuffled run belong to a single
+// loop. Safe for concurrent use by the ForEachLoop workers: each
+// environment's shared runs sit behind sync.Once.
+type runSet struct {
+	prog *ast.Program
+	free []string // freeScalars(prog)
+
+	mu   sync.Mutex
+	envs map[string]*envRuns // keyed by the free scalars' values
+
+	// runs counts interp.Run calls by runKind.
+	runs [numRunKinds]atomic.Int64
+}
+
+// envRuns are the shared runs of one realized scalar environment. env is
+// never mutated once the entry exists.
+type envRuns struct {
+	env map[string]int64
+
+	probeOnce sync.Once
+	trips     map[*ast.DoLoop]int64
+	probeErr  error
+
+	seedOnce sync.Once
+	init     *interp.State
+
+	naturalOnce sync.Once
+	natural     *interp.State
+	naturalErr  error
+}
+
+func newRunSet(prog *ast.Program) *runSet {
+	return &runSet{prog: prog, free: freeScalars(prog), envs: map[string]*envRuns{}}
+}
+
+// run executes the program from init under opts, counting the call. Runs
+// share init's arrays: the run set never mutates a state.
+func (rs *runSet) run(kind runKind, init *interp.State, opts *interp.Options) (*interp.State, error) {
+	rs.runs[kind].Add(1)
+	opts.ShareInit = true
+	st, _, err := interp.Run(rs.prog, init, opts)
+	return st, err
+}
+
+// entry returns the shared runs of env, creating them on first use. The
+// caller must not mutate env afterwards.
+func (rs *runSet) entry(env map[string]int64) *envRuns {
+	var key []byte
+	for _, name := range rs.free {
+		key = strconv.AppendInt(key, env[name], 10)
+		key = append(key, ',')
+	}
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	er := rs.envs[string(key)]
+	if er == nil {
+		er = &envRuns{env: env}
+		rs.envs[string(key)] = er
+	}
+	return er
+}
+
+// probe runs the program under the bare scalar environment once and
+// reports the largest induction value each loop reached.
+func (rs *runSet) probe(er *envRuns) (map[*ast.DoLoop]int64, error) {
+	er.probeOnce.Do(func() {
+		st := interp.NewState()
+		for k, v := range er.env {
+			st.Scalars[k] = v
+		}
+		trips := map[*ast.DoLoop]int64{}
+		_, er.probeErr = rs.run(runProbe, st, &interp.Options{
+			MaxSteps: dynamicMaxSteps,
+			LoopIter: func(l *ast.DoLoop, i int64) {
+				if i > trips[l] {
+					trips[l] = i
+				}
+			},
+		})
+		er.trips = trips
+	})
+	return er.trips, er.probeErr
+}
+
+// seeded returns the environment's seeded initial state, shared
+// read-only by every seeded run under the environment.
+func (rs *runSet) seeded(er *envRuns) *interp.State {
+	er.seedOnce.Do(func() { er.init = seededState(rs.prog, er.env) })
+	return er.init
+}
+
+// naturalRun returns the final state of the environment's natural-order
+// run from the seeded state.
+func (rs *runSet) naturalRun(er *envRuns) (*interp.State, error) {
+	er.naturalOnce.Do(func() {
+		er.natural, er.naturalErr = rs.run(runNatural, rs.seeded(er), &interp.Options{MaxSteps: dynamicMaxSteps})
+	})
+	return er.natural, er.naturalErr
+}
+
 // ReplayWitness executes the (checked, normalized) program and confirms
 // that the witness's two references touch the same array element at the
 // claimed iterations of loop. Free scalars — including a symbolic loop
 // bound — are bound to deterministic values that drive the loop to at
 // least IterLate iterations. A nil return means the race was observed.
 func ReplayWitness(prog *ast.Program, loop *ast.DoLoop, w *Witness) error {
-	env, err := realizeTrip(prog, loop, w.IterLate)
+	return newRunSet(prog).replayWitness(loop, w)
+}
+
+func (rs *runSet) replayWitness(loop *ast.DoLoop, w *Witness) error {
+	er, err := rs.realizeTrip(loop, w.IterLate)
 	if err != nil {
 		return err
 	}
@@ -90,7 +211,7 @@ func ReplayWitness(prog *ast.Program, loop *ast.DoLoop, w *Witness) error {
 			}
 		},
 	}
-	_, _, runErr := interp.Run(prog, seededState(prog, env), opts)
+	_, runErr := rs.run(runReplay, rs.seeded(er), opts)
 	if confirmed {
 		return nil
 	}
@@ -116,24 +237,27 @@ func ReplayWitness(prog *ast.Program, loop *ast.DoLoop, w *Witness) error {
 // shuffled schedule — and reports an error when the final array states
 // differ. A certified-parallel loop must pass for any seed.
 func PermutationCheck(prog *ast.Program, loop *ast.DoLoop, seed int64) error {
-	env, err := realizeTrip(prog, loop, 3)
+	return newRunSet(prog).permutationCheck(loop, seed)
+}
+
+func (rs *runSet) permutationCheck(loop *ast.DoLoop, seed int64) error {
+	er, err := rs.realizeTrip(loop, 3)
 	if err != nil {
 		// A shorter schedule still permutes when the loop runs at all;
 		// a loop that cannot be driven has nothing to falsify.
-		env, err = realizeTrip(prog, loop, 2)
+		er, err = rs.realizeTrip(loop, 2)
 		if err != nil {
 			return nil
 		}
 	}
-	init := seededState(prog, env)
-	natural, _, errA := interp.Run(prog, init, &interp.Options{MaxSteps: dynamicMaxSteps})
+	natural, errA := rs.naturalRun(er)
 	if errA != nil {
 		// The probe inputs do not execute cleanly (e.g. division by zero in
 		// unrelated code); there is no baseline to compare against.
 		return nil
 	}
 	rng := rand.New(rand.NewSource(seed))
-	shuffled, _, errB := interp.Run(prog, init, &interp.Options{
+	shuffled, errB := rs.run(runShuffle, rs.seeded(er), &interp.Options{
 		MaxSteps: dynamicMaxSteps,
 		LoopOrder: func(l *ast.DoLoop, iters []int64) []int64 {
 			if l != loop {
@@ -157,18 +281,19 @@ func PermutationCheck(prog *ast.Program, loop *ast.DoLoop, seed int64) error {
 // realizeTrip binds every free scalar of the program to a deterministic
 // value such that the given loop executes at least need iterations,
 // growing the free scalars of the loop bound geometrically until the trip
-// count (observed by actually running the program) suffices.
-func realizeTrip(prog *ast.Program, loop *ast.DoLoop, need int64) (map[string]int64, error) {
-	free := freeScalars(prog)
-	env := make(map[string]int64, len(free))
-	for k, name := range free {
+// count (observed on the environment's shared probe run) suffices.
+func (rs *runSet) realizeTrip(loop *ast.DoLoop, need int64) (*envRuns, error) {
+	env := make(map[string]int64, len(rs.free))
+	for k, name := range rs.free {
 		env[name] = int64(5 + 2*k)
 	}
-	hiIDs := freeIdentsIn(loop.Hi, free)
+	hiIDs := freeIdentsIn(loop.Hi, rs.free)
 	for attempt := 0; ; attempt++ {
-		trip, err := probeTrip(prog, loop, env)
+		er := rs.entry(env)
+		trips, err := rs.probe(er)
+		trip := trips[loop]
 		if trip >= need {
-			return env, nil
+			return er, nil
 		}
 		if attempt >= 20 || len(hiIDs) == 0 {
 			if err != nil {
@@ -176,29 +301,15 @@ func realizeTrip(prog *ast.Program, loop *ast.DoLoop, need int64) (map[string]in
 			}
 			return nil, fmt.Errorf("cannot drive the loop to iteration %d (reached %d)", need, trip)
 		}
-		for k, id := range hiIDs {
-			env[id] = env[id]*2 + need + int64(k)
+		next := make(map[string]int64, len(env))
+		for k, v := range env {
+			next[k] = v
 		}
+		for k, id := range hiIDs {
+			next[id] = next[id]*2 + need + int64(k)
+		}
+		env = next
 	}
-}
-
-// probeTrip runs the program under env and reports the largest induction
-// value the target loop reached.
-func probeTrip(prog *ast.Program, loop *ast.DoLoop, env map[string]int64) (int64, error) {
-	st := interp.NewState()
-	for k, v := range env {
-		st.Scalars[k] = v
-	}
-	var max int64
-	_, _, err := interp.Run(prog, st, &interp.Options{
-		MaxSteps: dynamicMaxSteps,
-		LoopIter: func(l *ast.DoLoop, i int64) {
-			if l == loop && i > max {
-				max = i
-			}
-		},
-	})
-	return max, err
 }
 
 // freeScalars returns the scalar names the program reads but never
@@ -292,7 +403,9 @@ func seededState(prog *ast.Program, env map[string]int64) *interp.State {
 			continue
 		}
 		lo, hi := seedRanges(nd, declared[name])
-		seedArray(st, name, make([]int64, 0, nd), lo, hi)
+		cells := map[string]int64{}
+		seedArray(cells, name, make([]int64, 0, nd), lo, hi, make([]byte, 0, 64))
+		st.Arrays[name] = cells
 	}
 	return st
 }
@@ -327,32 +440,30 @@ func seedRanges(nd int, sizes []int64) (lo, hi []int64) {
 	return lo, hi
 }
 
-func seedArray(st *interp.State, name string, idx []int64, lo, hi []int64) {
+func seedArray(cells map[string]int64, name string, idx []int64, lo, hi []int64, key []byte) {
 	d := len(idx)
 	if d == len(lo) {
-		st.SetArrayN(name, idx, seedValue(name, cellKey(idx)))
+		key = interp.AppendElemKey(key[:0], idx)
+		cells[string(key)] = seedValue(name, key)
 		return
 	}
 	for v := lo[d]; v <= hi[d]; v++ {
-		seedArray(st, name, append(idx, v), lo, hi)
+		seedArray(cells, name, append(idx, v), lo, hi, key)
 	}
 }
 
 // seedValue derives a nonzero deterministic element value from the array
 // name and element key.
-func seedValue(name, key string) int64 {
+func seedValue(name string, key []byte) int64 {
 	h := fnv.New32a()
 	h.Write([]byte(name))
 	h.Write([]byte{0})
-	h.Write([]byte(key))
+	h.Write(key)
 	return int64(h.Sum32()%997) + 1
 }
 
 // cellKey matches the interpreter's element-key encoding.
 func cellKey(idx []int64) string {
-	parts := make([]string, len(idx))
-	for i, v := range idx {
-		parts[i] = fmt.Sprintf("%d", v)
-	}
-	return strings.Join(parts, ",")
+	var buf [64]byte
+	return string(interp.AppendElemKey(buf[:0], idx))
 }
