@@ -675,6 +675,24 @@ func BenchmarkVet(b *testing.B) {
 		b.ReportMetric(float64(analysisNS)/float64(b.N)/1e6, "analysis-ms/op")
 	}
 	b.Run("uncached", func(b *testing.B) { run(b, true) })
+	// The analysis under vet without the analyzers: the same front end
+	// and an uncached solve of the lint problems. scripts/bench.sh holds
+	// uncached vet to a multiple of it.
+	b.Run("analyze", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			prog, err := parser.Parse(src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			norm, err := sema.Normalize(prog)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := driver.Analyze(norm, &driver.Options{Specs: problems.StandardSpecs(), DisableCache: true}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("memoized", func(b *testing.B) {
 		driver.ResetCache()
 		if res := arrayflow.Vet("bench.loop", src, nil); res.Analysis == nil {

@@ -83,14 +83,16 @@ func Differential(u *Unit, seed int64) DiffResult {
 			}
 		}
 		lens[name] = concrete[0]
-		mini := map[string]int64{}
+		lo := make([]int64, len(concrete))
+		for k := range lo {
+			lo[k] = 1
+		}
 		gom := map[string]int64{}
-		fillCells(concrete, nil, func(idx []int64) {
+		init.FillBox(name, lo, concrete, func(idx []int64) int64 {
 			v := rng.Int63n(21) - 10
-			mini[cellKey(idx, 1)] = v
-			gom[cellKey(idx, 0)] = v
+			gom[cellKey(idx, -1)] = v
+			return v
 		})
-		init.Arrays[name] = mini
 		ge.arrays[name] = gom
 	}
 	for _, name := range sortedKeys(u.Scalars) {
@@ -120,26 +122,30 @@ func Differential(u *Unit, seed int64) DiffResult {
 		}
 	}
 	// Compare arrays under the inverse shift: mini cell (i1,...,in) holds
-	// Go cell (i1-1,...,in-1).
+	// Go cell (i1-1,...,in-1). Missing cells read as zero on both sides,
+	// and the first mismatch in subscript order is reported.
 	for _, name := range sortedKeys(u.Arrays) {
-		miniArr := final.Arrays[name]
 		goArr := ge.arrays[name]
-		shifted := map[string]int64{}
-		for k, v := range goArr {
-			shifted[shiftKey(k, +1)] = v
-		}
-		keys := map[string]bool{}
-		for k := range miniArr {
-			keys[k] = true
-		}
-		for k := range shifted {
-			keys[k] = true
-		}
-		for k := range keys {
-			if miniArr[k] != shifted[k] {
-				return DiffResult{Status: DiffMismatch,
-					Detail: fmt.Sprintf("array %s[%s]: interp %d, go %d", name, k, miniArr[k], shifted[k])}
+		var (
+			first      []int64
+			miniV, goV int64
+			found      bool
+		)
+		check := func(idx []int64, mv, gv int64) {
+			if mv != gv && (!found || tupleLess(idx, first)) {
+				first, miniV, goV, found = append(first[:0], idx...), mv, gv, true
 			}
+		}
+		final.Cells(name, func(idx []int64, v int64) {
+			check(idx, v, goArr[cellKey(idx, -1)])
+		})
+		for k, v := range goArr {
+			idx := shiftKey(k, +1)
+			check(idx, final.GetArrayN(name, idx), v)
+		}
+		if found {
+			return DiffResult{Status: DiffMismatch,
+				Detail: fmt.Sprintf("array %s[%s]: interp %d, go %d", name, cellKey(first, 0), miniV, goV)}
 		}
 	}
 	return DiffResult{Status: DiffMatch}
@@ -203,17 +209,6 @@ func rankOf(u *Unit, obj types.Object) int {
 	return 0
 }
 
-// fillCells enumerates every cell of a concrete shape.
-func fillCells(shape []int64, prefix []int64, f func(idx []int64)) {
-	if len(shape) == 0 {
-		f(prefix)
-		return
-	}
-	for i := int64(0); i < shape[0]; i++ {
-		fillCells(shape[1:], append(prefix, i), f)
-	}
-}
-
 // cellKey renders a 0-based index tuple in the interpreter's element-key
 // format, shifted by base.
 func cellKey(idx []int64, base int64) string {
@@ -224,17 +219,27 @@ func cellKey(idx []int64, base int64) string {
 	return strings.Join(parts, ",")
 }
 
-// shiftKey shifts every component of an element key by delta.
-func shiftKey(key string, delta int64) string {
+// shiftKey parses an element key (a cellKey rendering, so every part is
+// a decimal integer) into its subscript tuple, shifting every component
+// by delta.
+func shiftKey(key string, delta int64) []int64 {
 	parts := strings.Split(key, ",")
+	idx := make([]int64, len(parts))
 	for i, p := range parts {
-		v, err := strconv.ParseInt(p, 10, 64)
-		if err != nil {
-			return key
-		}
-		parts[i] = strconv.FormatInt(v+delta, 10)
+		v, _ := strconv.ParseInt(p, 10, 64)
+		idx[i] = v + delta
 	}
-	return strings.Join(parts, ",")
+	return idx
+}
+
+// tupleLess orders subscript tuples lexicographically.
+func tupleLess(a, b []int64) bool {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return len(a) < len(b)
 }
 
 // goEval is a direct evaluator for the lowered Go subset. State is keyed

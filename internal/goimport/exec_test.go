@@ -1,7 +1,11 @@
 package goimport
 
 import (
+	"strings"
 	"testing"
+
+	"repro/internal/ast"
+	"repro/internal/token"
 )
 
 // TestDifferentialKernels runs seeded differential execution over every
@@ -151,5 +155,37 @@ func F(a, b []int, n, t int) {
 				}
 			}
 		})
+	}
+}
+
+// TestDifferentialMismatchDetail forces a lowering bug — the lowered store
+// multiplies its value by (i < 8), zeroing the last four cells — and
+// checks the detail names the first mismatching cell in subscript order
+// (a[9], not the string-order a[10] or whichever cell a map visits first),
+// identically on every run.
+func TestDifferentialMismatchDetail(t *testing.T) {
+	res := importSrc(t, `package p
+func F(a *[12]int) {
+	for i := 0; i < 12; i++ {
+		a[i] = a[i] + i
+	}
+}`)
+	units := res.Units()
+	if len(units) != 1 {
+		t.Fatalf("got %d units", len(units))
+	}
+	u := units[0]
+	loop := u.Program.Body[len(u.Program.Body)-1].(*ast.DoLoop)
+	store := loop.Body[0].(*ast.Assign)
+	store.RHS = &ast.Binary{Op: token.STAR, L: store.RHS,
+		R: &ast.Binary{Op: token.LT, L: &ast.Ident{Name: loop.Var}, R: &ast.IntLit{Value: 8}}}
+	first := Differential(u, 3)
+	if first.Status != DiffMismatch || !strings.HasPrefix(first.Detail, "array a[9]: ") {
+		t.Fatalf("differential of a broken lowering: %s: %q, want a mismatch at a[9]", first.Status, first.Detail)
+	}
+	for run := 0; run < 20; run++ {
+		if d := Differential(u, 3); d != first {
+			t.Fatalf("run %d: %+v != %+v", run, d, first)
+		}
 	}
 }

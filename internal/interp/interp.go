@@ -6,170 +6,26 @@
 // inputs and comparing final memory states. The interpreter also counts
 // source-level array loads and stores, giving an architecture-independent
 // measure of the memory traffic the optimizations remove.
+//
+// Execution runs on dense, name-resolved state. Compile walks the program
+// once and resolves every scalar and array name to a slot (Run compiles
+// per call; a caller running one program many times compiles it once), so
+// statements read scalars from a []int64 and count loads and stores per slot, and
+// subscripts are evaluated into one reused buffer, so an element access
+// neither allocates nor hashes a name. Each array is a row-major []int64
+// box with a low bound and extent per dimension: the box grows on a store
+// outside it, and a read outside it returns 0, so a missing element reads
+// as zero. A store whose grown box would be far larger than the elements in
+// use goes to a small sparse overflow instead, which keeps memory bounded
+// by what the program holds however far apart its subscripts are.
 package interp
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/token"
 )
-
-// Elem identifies one array element by name and subscript values.
-type Elem struct {
-	Array string
-	// Key encodes the subscript tuple; one-dimensional elements use the
-	// subscript value directly.
-	Key string
-}
-
-// AppendElemKey appends the element-key encoding of a subscript tuple to
-// b: the decimal subscripts joined by commas ("3", "-1,0").
-func AppendElemKey(b []byte, subs []int64) []byte {
-	for i, s := range subs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, s, 10)
-	}
-	return b
-}
-
-func elemKey(subs []int64) string {
-	var buf [64]byte
-	return string(AppendElemKey(buf[:0], subs))
-}
-
-// State is the mutable program state.
-type State struct {
-	Scalars map[string]int64
-	Arrays  map[string]map[string]int64
-}
-
-// NewState returns an empty state.
-func NewState() *State {
-	return &State{Scalars: map[string]int64{}, Arrays: map[string]map[string]int64{}}
-}
-
-// Clone deep-copies the state.
-func (s *State) Clone() *State {
-	out := &State{Scalars: cloneCells(s.Scalars), Arrays: make(map[string]map[string]int64, len(s.Arrays))}
-	for a, m := range s.Arrays {
-		out.Arrays[a] = cloneCells(m)
-	}
-	return out
-}
-
-func cloneCells(m map[string]int64) map[string]int64 {
-	out := make(map[string]int64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// SetArray sets one element of a one-dimensional array.
-func (s *State) SetArray(name string, idx int64, v int64) {
-	m := s.Arrays[name]
-	if m == nil {
-		m = map[string]int64{}
-		s.Arrays[name] = m
-	}
-	m[elemKey([]int64{idx})] = v
-}
-
-// GetArray reads one element of a one-dimensional array (default 0).
-func (s *State) GetArray(name string, idx int64) int64 {
-	return s.Arrays[name][elemKey([]int64{idx})]
-}
-
-// SetArrayN sets a multi-dimensional element.
-func (s *State) SetArrayN(name string, idx []int64, v int64) {
-	m := s.Arrays[name]
-	if m == nil {
-		m = map[string]int64{}
-		s.Arrays[name] = m
-	}
-	m[elemKey(idx)] = v
-}
-
-// GetArrayN reads a multi-dimensional element.
-func (s *State) GetArrayN(name string, idx []int64) int64 {
-	var buf [64]byte
-	// Indexing with the converted bytes does not allocate the key.
-	return s.Arrays[name][string(AppendElemKey(buf[:0], idx))]
-}
-
-// ArraysEqual compares the array portions of two states, treating missing
-// entries as zero.
-func ArraysEqual(a, b *State) bool {
-	for n, am := range a.Arrays {
-		bm := b.Arrays[n]
-		for k, v := range am {
-			if bm[k] != v {
-				return false
-			}
-		}
-	}
-	for n, bm := range b.Arrays {
-		am := a.Arrays[n]
-		for k, v := range bm {
-			if _, seen := am[k]; !seen && v != 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// DiffArrays describes the first few differences between the array states,
-// or "" when equal (missing entries are zero). Equal states are recognized
-// without sorting; the sorted diff text is built only when they differ.
-func DiffArrays(a, b *State) string {
-	if ArraysEqual(a, b) {
-		return ""
-	}
-	var diffs []string
-	names := map[string]bool{}
-	for n := range a.Arrays {
-		names[n] = true
-	}
-	for n := range b.Arrays {
-		names[n] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	for _, n := range sorted {
-		keys := map[string]bool{}
-		for k := range a.Arrays[n] {
-			keys[k] = true
-		}
-		for k := range b.Arrays[n] {
-			keys[k] = true
-		}
-		sk := make([]string, 0, len(keys))
-		for k := range keys {
-			sk = append(sk, k)
-		}
-		sort.Strings(sk)
-		for _, k := range sk {
-			av, bv := a.Arrays[n][k], b.Arrays[n][k]
-			if av != bv {
-				diffs = append(diffs, fmt.Sprintf("%s[%s]: %d vs %d", n, k, av, bv))
-				if len(diffs) >= 8 {
-					return strings.Join(diffs, "; ") + "; ..."
-				}
-			}
-		}
-	}
-	return strings.Join(diffs, "; ")
-}
 
 // Stats counts dynamic events during execution.
 type Stats struct {
@@ -216,7 +72,9 @@ type Options struct {
 	MaxSteps int64
 	// TraceRef, when set, observes every array element access: the
 	// syntactic reference being executed, whether it is a store, and the
-	// concrete subscript tuple. The callback must not mutate idx.
+	// concrete subscript tuple. idx is the interpreter's reused subscript
+	// buffer: the hook must neither mutate nor retain it (copy it to keep
+	// it).
 	TraceRef func(ref *ast.ArrayRef, isStore bool, idx []int64)
 	// LoopIter, when set, observes the start of every loop iteration with
 	// the loop being run and the induction value for the iteration.
@@ -239,19 +97,48 @@ type Options struct {
 }
 
 type machine struct {
-	st *State
-	// owned records the arrays of a ShareInit run already copied out of
-	// init (nil when the whole state was copied up front).
-	owned map[string]bool
-	stats *Stats
+	// Scalar slots: value and whether the name is bound (an unbound
+	// scalar reads as zero and is absent from the returned Scalars).
+	sc    []int64
+	bound []bool
+	// Array slots. owned[k] reports that arrs[k] is private to this run
+	// (nil arrays are never owned).
+	arrs  []*array
+	owned []bool
+	// Per-slot access counts, and the other Stats counters.
+	loads, stores     []int64
+	stmts, iterations int64
+	// buf is the subscript stack: a reference's subscripts are evaluated
+	// onto its top and popped after the access.
+	buf   []int64
 	steps int64
 	max   int64
 	opts  Options
 }
 
+// Compiled is a program with every scalar and array name resolved to a
+// slot. It is never mutated, so any number of runs, concurrent ones
+// included, may share it.
+type Compiled struct {
+	body                    []stmt
+	scalarNames, arrayNames []string
+}
+
+// Compile resolves the program's names by walking it once.
+func Compile(prog *ast.Program) *Compiled {
+	c := &compiler{scalars: map[string]int{}, arrays: map[string]int{}}
+	body := c.block(prog.Body)
+	return &Compiled{body: body, scalarNames: c.scalarNames, arrayNames: c.arrayNames}
+}
+
 // Run executes the program on a copy of init (nil = empty) and returns the
 // final state and statistics.
 func Run(prog *ast.Program, init *State, opts *Options) (*State, *Stats, error) {
+	return Compile(prog).Run(init, opts)
+}
+
+// Run executes the compiled program as the package-level Run does.
+func (c *Compiled) Run(init *State, opts *Options) (*State, *Stats, error) {
 	if init == nil {
 		init = NewState()
 	}
@@ -260,276 +147,475 @@ func Run(prog *ast.Program, init *State, opts *Options) (*State, *Stats, error) 
 		maxSteps = opts.MaxSteps
 	}
 	m := &machine{
-		stats: &Stats{ArrayLoads: map[string]int64{}, ArrayStores: map[string]int64{}},
-		max:   maxSteps,
+		sc:     make([]int64, len(c.scalarNames)),
+		bound:  make([]bool, len(c.scalarNames)),
+		arrs:   make([]*array, len(c.arrayNames)),
+		owned:  make([]bool, len(c.arrayNames)),
+		loads:  make([]int64, len(c.arrayNames)),
+		stores: make([]int64, len(c.arrayNames)),
+		max:    maxSteps,
 	}
 	if opts != nil {
 		m.opts = *opts
 	}
-	if m.opts.ShareInit {
-		m.st = &State{Scalars: cloneCells(init.Scalars), Arrays: make(map[string]map[string]int64, len(init.Arrays))}
-		for a, cells := range init.Arrays {
-			m.st.Arrays[a] = cells
+	base := &State{Scalars: cloneScalars(init.Scalars), arrays: make(map[string]*array, len(init.arrays)+len(c.arrayNames))}
+	for n, a := range init.arrays {
+		if !m.opts.ShareInit {
+			a = a.clone()
 		}
-		m.owned = map[string]bool{}
-	} else {
-		m.st = init.Clone()
+		base.arrays[n] = a
 	}
-	if err := m.execBlock(prog.Body); err != nil {
-		return m.st, m.stats, err
+	for k, n := range c.scalarNames {
+		m.sc[k], m.bound[k] = base.Scalars[n]
 	}
-	return m.st, m.stats, nil
-}
+	for k, n := range c.arrayNames {
+		m.arrs[k] = base.arrays[n]
+		m.owned[k] = !m.opts.ShareInit && m.arrs[k] != nil
+	}
+	err := m.execBlock(c.body)
 
-func (m *machine) step(pos token.Pos) error {
-	m.steps++
-	if m.steps > m.max {
-		return &RuntimeError{Pos: pos, Msg: "step limit exceeded"}
-	}
-	return nil
-}
-
-func (m *machine) execBlock(body []ast.Stmt) error {
-	for _, s := range body {
-		if err := m.execStmt(s); err != nil {
-			return err
+	// Write the slots back into the names' maps.
+	for k, n := range c.scalarNames {
+		if m.bound[k] {
+			base.Scalars[n] = m.sc[k]
+		} else {
+			delete(base.Scalars, n)
 		}
 	}
-	return nil
+	stats := &Stats{ArrayLoads: map[string]int64{}, ArrayStores: map[string]int64{}, Stmts: m.stmts, Iterations: m.iterations}
+	for k, n := range c.arrayNames {
+		if m.arrs[k] != nil {
+			base.arrays[n] = m.arrs[k]
+		}
+		if m.loads[k] > 0 {
+			stats.ArrayLoads[n] = m.loads[k]
+		}
+		if m.stores[k] > 0 {
+			stats.ArrayStores[n] = m.stores[k]
+		}
+	}
+	return base, stats, err
 }
 
-func (m *machine) execStmt(s ast.Stmt) error {
+// ---------------------------------------------------------------------------
+// Name resolution: the program compiled to a tree of slot-addressed nodes.
+// Nodes keep their AST node for hooks and error positions, and an AST
+// construct the interpreter cannot run compiles to a node that fails only
+// when executed, as the AST walk it replaces did.
+
+type exprKind uint8
+
+const (
+	exLit    exprKind = iota
+	exScalar          // slot
+	exLoad            // array slot, subs
+	exUnary           // op, x
+	exBinary          // op, x, y
+	exBad             // unknown expression
+)
+
+type expr struct {
+	kind exprKind
+	op   token.Kind
+	val  int64 // literal value (exLit)
+	slot int   // scalar (exScalar) or array (exLoad) slot
+	x, y *expr
+	subs []*expr
+	node ast.Expr
+}
+
+type stmtKind uint8
+
+const (
+	stAssign   stmtKind = iota // scalar slot := rhs
+	stStore                    // array slot[subs] := rhs
+	stBadStore                 // invalid assignment target
+	stIf
+	stLoop
+	stNop // dim
+	stBad // unknown statement
+)
+
+type stmt struct {
+	kind   stmtKind
+	slot   int // assigned scalar, stored array, or induction variable
+	subs   []*expr
+	rhs    *expr // assigned value, or the if condition
+	lo, hi *expr
+	step   *expr // nil means 1
+	body   []stmt
+	els    []stmt
+	node   ast.Stmt
+}
+
+type compiler struct {
+	scalars, arrays         map[string]int
+	scalarNames, arrayNames []string
+	slab                    []expr
+}
+
+func (c *compiler) scalar(name string) int {
+	k, ok := c.scalars[name]
+	if !ok {
+		k = len(c.scalarNames)
+		c.scalars[name] = k
+		c.scalarNames = append(c.scalarNames, name)
+	}
+	return k
+}
+
+func (c *compiler) array(name string) int {
+	k, ok := c.arrays[name]
+	if !ok {
+		k = len(c.arrayNames)
+		c.arrays[name] = k
+		c.arrayNames = append(c.arrayNames, name)
+	}
+	return k
+}
+
+func (c *compiler) block(body []ast.Stmt) []stmt {
+	if len(body) == 0 {
+		return nil
+	}
+	out := make([]stmt, len(body))
+	for i, s := range body {
+		c.stmt(&out[i], s)
+	}
+	return out
+}
+
+func (c *compiler) stmt(out *stmt, s ast.Stmt) {
+	out.node = s
 	switch st := s.(type) {
 	case *ast.Assign:
-		if err := m.step(st.Pos()); err != nil {
+		out.rhs = c.expr(st.RHS)
+		switch lhs := st.LHS.(type) {
+		case *ast.Ident:
+			out.kind, out.slot = stAssign, c.scalar(lhs.Name)
+		case *ast.ArrayRef:
+			out.kind, out.slot, out.subs = stStore, c.array(lhs.Name), c.exprs(lhs.Subs)
+		default:
+			out.kind = stBadStore
+		}
+	case *ast.If:
+		out.kind, out.rhs = stIf, c.expr(st.Cond)
+		out.body, out.els = c.block(st.Then), c.block(st.Else)
+	case *ast.DoLoop:
+		out.kind, out.slot = stLoop, c.scalar(st.Var)
+		out.lo, out.hi = c.expr(st.Lo), c.expr(st.Hi)
+		if st.Step != nil {
+			out.step = c.expr(st.Step)
+		}
+		out.body = c.block(st.Body)
+	case *ast.Dim:
+		// Declarations have no runtime effect: an array's box grows on
+		// demand from the stores the program makes.
+		out.kind = stNop
+	default:
+		out.kind = stBad
+	}
+}
+
+func (c *compiler) exprs(es []ast.Expr) []*expr {
+	out := make([]*expr, len(es))
+	for i, e := range es {
+		out[i] = c.expr(e)
+	}
+	return out
+}
+
+func (c *compiler) expr(e ast.Expr) *expr {
+	// Nodes come from slabs that are never reallocated, so pointers into
+	// them stay valid.
+	if len(c.slab) == cap(c.slab) {
+		c.slab = make([]expr, 0, 64)
+	}
+	c.slab = append(c.slab, expr{node: e})
+	out := &c.slab[len(c.slab)-1]
+	switch ex := e.(type) {
+	case *ast.IntLit:
+		out.kind, out.val = exLit, ex.Value
+	case *ast.Ident:
+		out.kind, out.slot = exScalar, c.scalar(ex.Name)
+	case *ast.ArrayRef:
+		out.kind, out.slot = exLoad, c.array(ex.Name)
+		out.subs = c.exprs(ex.Subs)
+	case *ast.Unary:
+		out.kind, out.op, out.x = exUnary, ex.Op, c.expr(ex.X)
+	case *ast.Binary:
+		out.kind, out.op = exBinary, ex.Op
+		out.x, out.y = c.expr(ex.L), c.expr(ex.R)
+	default:
+		out.kind = exBad
+	}
+	return out
+}
+
+// ---------------------------------------------------------------------------
+// Execution
+
+func (m *machine) step(at ast.Node) error {
+	m.steps++
+	if m.steps > m.max {
+		return &RuntimeError{Pos: at.Pos(), Msg: "step limit exceeded"}
+	}
+	return nil
+}
+
+func (m *machine) execBlock(body []stmt) error {
+	for i := range body {
+		if err := m.execStmt(&body[i]); err != nil {
 			return err
 		}
-		m.stats.Stmts++
-		v, err := m.eval(st.RHS)
+	}
+	return nil
+}
+
+func (m *machine) execStmt(s *stmt) error {
+	switch s.kind {
+	case stAssign, stStore, stBadStore:
+		if err := m.step(s.node); err != nil {
+			return err
+		}
+		m.stmts++
+		v, err := m.eval(s.rhs)
 		if err != nil {
 			return err
 		}
-		switch lhs := st.LHS.(type) {
-		case *ast.Ident:
-			m.st.Scalars[lhs.Name] = v
-		case *ast.ArrayRef:
-			idx, err := m.evalSubs(lhs)
+		switch s.kind {
+		case stAssign:
+			m.sc[s.slot], m.bound[s.slot] = v, true
+		case stStore:
+			top := len(m.buf)
+			idx, err := m.evalSubs(s.subs)
 			if err != nil {
 				return err
 			}
 			if m.opts.TraceRef != nil {
-				m.opts.TraceRef(lhs, true, idx)
+				m.opts.TraceRef(s.node.(*ast.Assign).LHS.(*ast.ArrayRef), true, idx)
 			}
-			if m.owned != nil && !m.owned[lhs.Name] {
-				m.owned[lhs.Name] = true
-				if cells := m.st.Arrays[lhs.Name]; cells != nil {
-					m.st.Arrays[lhs.Name] = cloneCells(cells)
+			a := m.arrs[s.slot]
+			if !m.owned[s.slot] {
+				if a == nil {
+					a = &array{}
+				} else {
+					a = a.clone()
 				}
+				m.arrs[s.slot], m.owned[s.slot] = a, true
 			}
-			m.st.SetArrayN(lhs.Name, idx, v)
-			m.stats.ArrayStores[lhs.Name]++
+			a.set(idx, v)
+			m.stores[s.slot]++
+			m.buf = m.buf[:top]
 		default:
-			return &RuntimeError{Pos: st.Pos(), Msg: "invalid assignment target"}
+			return &RuntimeError{Pos: s.node.Pos(), Msg: "invalid assignment target"}
 		}
 		return nil
 
-	case *ast.If:
-		c, err := m.eval(st.Cond)
+	case stIf:
+		c, err := m.eval(s.rhs)
 		if err != nil {
 			return err
 		}
 		if c != 0 {
-			return m.execBlock(st.Then)
+			return m.execBlock(s.body)
 		}
-		return m.execBlock(st.Else)
+		return m.execBlock(s.els)
 
-	case *ast.DoLoop:
-		lo, err := m.eval(st.Lo)
-		if err != nil {
-			return err
-		}
-		hi, err := m.eval(st.Hi)
-		if err != nil {
-			return err
-		}
-		step := int64(1)
-		if st.Step != nil {
-			step, err = m.eval(st.Step)
-			if err != nil {
-				return err
-			}
-			if step == 0 {
-				return &RuntimeError{Pos: st.Pos(), Msg: "zero loop step"}
-			}
-		}
-		saved, had := m.st.Scalars[st.Var]
-		runIter := func(i int64) error {
-			if err := m.step(st.Pos()); err != nil {
-				return err
-			}
-			m.stats.Iterations++
-			if m.opts.LoopIter != nil {
-				m.opts.LoopIter(st, i)
-			}
-			m.st.Scalars[st.Var] = i
-			return m.execBlock(st.Body)
-		}
-		if m.opts.LoopOrder != nil {
-			// Materialize the natural schedule and let the hook permute it.
-			// The schedule length is already bounded by the step budget.
-			var iters []int64
-			for i := lo; (step > 0 && i <= hi) || (step < 0 && i >= hi); i += step {
-				iters = append(iters, i)
-				if int64(len(iters)) > m.max {
-					return &RuntimeError{Pos: st.Pos(), Msg: "step limit exceeded"}
-				}
-			}
-			if order := m.opts.LoopOrder(st, iters); order != nil {
-				iters = order
-			}
-			for _, i := range iters {
-				if err := runIter(i); err != nil {
-					return err
-				}
-			}
-		} else {
-			for i := lo; (step > 0 && i <= hi) || (step < 0 && i >= hi); i += step {
-				if err := runIter(i); err != nil {
-					return err
-				}
-			}
-		}
-		if m.opts.LoopDone != nil {
-			m.opts.LoopDone(st)
-		}
-		// Restore the induction variable so programs after the loop see the
-		// pre-loop binding (the language gives it loop-local scope).
-		if had {
-			m.st.Scalars[st.Var] = saved
-		} else {
-			delete(m.st.Scalars, st.Var)
-		}
-		return nil
+	case stLoop:
+		return m.execLoop(s)
 
-	case *ast.Dim:
-		// Declarations have no runtime effect; the interpreter's arrays
-		// grow on demand.
+	case stNop:
 		return nil
 	}
 	return &RuntimeError{Msg: "unknown statement"}
 }
 
-func (m *machine) evalSubs(ref *ast.ArrayRef) ([]int64, error) {
-	idx := make([]int64, len(ref.Subs))
-	for k, sub := range ref.Subs {
+func (m *machine) execLoop(s *stmt) error {
+	loop := s.node.(*ast.DoLoop)
+	lo, err := m.eval(s.lo)
+	if err != nil {
+		return err
+	}
+	hi, err := m.eval(s.hi)
+	if err != nil {
+		return err
+	}
+	step := int64(1)
+	if s.step != nil {
+		step, err = m.eval(s.step)
+		if err != nil {
+			return err
+		}
+		if step == 0 {
+			return &RuntimeError{Pos: loop.Pos(), Msg: "zero loop step"}
+		}
+	}
+	saved, had := m.sc[s.slot], m.bound[s.slot]
+	if m.opts.LoopOrder != nil {
+		// Materialize the natural schedule and let the hook permute it.
+		// The schedule length is already bounded by the step budget.
+		var iters []int64
+		for i := lo; (step > 0 && i <= hi) || (step < 0 && i >= hi); i += step {
+			iters = append(iters, i)
+			if int64(len(iters)) > m.max {
+				return &RuntimeError{Pos: loop.Pos(), Msg: "step limit exceeded"}
+			}
+		}
+		if order := m.opts.LoopOrder(loop, iters); order != nil {
+			iters = order
+		}
+		for _, i := range iters {
+			if err := m.iter(s, loop, i); err != nil {
+				return err
+			}
+		}
+	} else {
+		for i := lo; (step > 0 && i <= hi) || (step < 0 && i >= hi); i += step {
+			if err := m.iter(s, loop, i); err != nil {
+				return err
+			}
+		}
+	}
+	if m.opts.LoopDone != nil {
+		m.opts.LoopDone(loop)
+	}
+	// Restore the induction variable so programs after the loop see the
+	// pre-loop binding (the language gives it loop-local scope).
+	m.sc[s.slot], m.bound[s.slot] = saved, had
+	return nil
+}
+
+func (m *machine) iter(s *stmt, loop *ast.DoLoop, i int64) error {
+	if err := m.step(loop); err != nil {
+		return err
+	}
+	m.iterations++
+	if m.opts.LoopIter != nil {
+		m.opts.LoopIter(loop, i)
+	}
+	m.sc[s.slot], m.bound[s.slot] = i, true
+	return m.execBlock(s.body)
+}
+
+// evalSubs pushes the subscript values onto the buffer and returns them;
+// the caller pops them once the access is done. A nested reference pushes
+// above them and pops before they are read.
+func (m *machine) evalSubs(subs []*expr) ([]int64, error) {
+	top := len(m.buf)
+	for _, sub := range subs {
 		v, err := m.eval(sub)
 		if err != nil {
 			return nil, err
 		}
-		idx[k] = v
+		m.buf = append(m.buf, v)
 	}
-	return idx, nil
+	return m.buf[top:len(m.buf):len(m.buf)], nil
 }
 
-func (m *machine) eval(e ast.Expr) (int64, error) {
-	switch ex := e.(type) {
-	case *ast.IntLit:
-		return ex.Value, nil
-	case *ast.Ident:
-		return m.st.Scalars[ex.Name], nil
-	case *ast.ArrayRef:
-		idx, err := m.evalSubs(ex)
+func (m *machine) eval(e *expr) (int64, error) {
+	switch e.kind {
+	case exLit:
+		return e.val, nil
+	case exScalar:
+		return m.sc[e.slot], nil
+	case exLoad:
+		top := len(m.buf)
+		idx, err := m.evalSubs(e.subs)
 		if err != nil {
 			return 0, err
 		}
 		if m.opts.TraceRef != nil {
-			m.opts.TraceRef(ex, false, idx)
+			m.opts.TraceRef(e.node.(*ast.ArrayRef), false, idx)
 		}
-		m.stats.ArrayLoads[ex.Name]++
-		return m.st.GetArrayN(ex.Name, idx), nil
-	case *ast.Unary:
-		v, err := m.eval(ex.X)
+		m.loads[e.slot]++
+		v := m.arrs[e.slot].get(idx)
+		m.buf = m.buf[:top]
+		return v, nil
+	case exUnary:
+		v, err := m.eval(e.x)
 		if err != nil {
 			return 0, err
 		}
-		switch ex.Op {
+		switch e.op {
 		case token.MINUS:
 			return -v, nil
 		case token.NOT:
-			if v == 0 {
-				return 1, nil
-			}
-			return 0, nil
+			return boolToInt(v == 0), nil
 		}
-		return 0, &RuntimeError{Pos: ex.Pos(), Msg: "bad unary operator"}
-	case *ast.Binary:
-		// Short-circuit boolean operators.
-		switch ex.Op {
-		case token.AND:
-			l, err := m.eval(ex.L)
-			if err != nil || l == 0 {
-				return 0, err
-			}
-			r, err := m.eval(ex.R)
-			if err != nil {
-				return 0, err
-			}
-			return boolToInt(r != 0), nil
-		case token.OR:
-			l, err := m.eval(ex.L)
-			if err != nil {
-				return 0, err
-			}
-			if l != 0 {
-				return 1, nil
-			}
-			r, err := m.eval(ex.R)
-			if err != nil {
-				return 0, err
-			}
-			return boolToInt(r != 0), nil
-		}
-		l, err := m.eval(ex.L)
-		if err != nil {
-			return 0, err
-		}
-		r, err := m.eval(ex.R)
-		if err != nil {
-			return 0, err
-		}
-		switch ex.Op {
-		case token.PLUS:
-			return l + r, nil
-		case token.MINUS:
-			return l - r, nil
-		case token.STAR:
-			return l * r, nil
-		case token.SLASH:
-			if r == 0 {
-				return 0, &RuntimeError{Pos: ex.Pos(), Msg: "division by zero"}
-			}
-			return l / r, nil
-		case token.MOD:
-			if r == 0 {
-				return 0, &RuntimeError{Pos: ex.Pos(), Msg: "modulo by zero"}
-			}
-			return l % r, nil
-		case token.EQ:
-			return boolToInt(l == r), nil
-		case token.NEQ:
-			return boolToInt(l != r), nil
-		case token.LT:
-			return boolToInt(l < r), nil
-		case token.LEQ:
-			return boolToInt(l <= r), nil
-		case token.GT:
-			return boolToInt(l > r), nil
-		case token.GEQ:
-			return boolToInt(l >= r), nil
-		}
-		return 0, &RuntimeError{Pos: ex.Pos(), Msg: "bad binary operator"}
+		return 0, &RuntimeError{Pos: e.node.Pos(), Msg: "bad unary operator"}
+	case exBinary:
+		return m.binary(e)
 	}
 	return 0, &RuntimeError{Msg: "unknown expression"}
+}
+
+func (m *machine) binary(e *expr) (int64, error) {
+	// Short-circuit boolean operators.
+	switch e.op {
+	case token.AND:
+		l, err := m.eval(e.x)
+		if err != nil || l == 0 {
+			return 0, err
+		}
+		r, err := m.eval(e.y)
+		if err != nil {
+			return 0, err
+		}
+		return boolToInt(r != 0), nil
+	case token.OR:
+		l, err := m.eval(e.x)
+		if err != nil {
+			return 0, err
+		}
+		if l != 0 {
+			return 1, nil
+		}
+		r, err := m.eval(e.y)
+		if err != nil {
+			return 0, err
+		}
+		return boolToInt(r != 0), nil
+	}
+	l, err := m.eval(e.x)
+	if err != nil {
+		return 0, err
+	}
+	r, err := m.eval(e.y)
+	if err != nil {
+		return 0, err
+	}
+	switch e.op {
+	case token.PLUS:
+		return l + r, nil
+	case token.MINUS:
+		return l - r, nil
+	case token.STAR:
+		return l * r, nil
+	case token.SLASH:
+		if r == 0 {
+			return 0, &RuntimeError{Pos: e.node.Pos(), Msg: "division by zero"}
+		}
+		return l / r, nil
+	case token.MOD:
+		if r == 0 {
+			return 0, &RuntimeError{Pos: e.node.Pos(), Msg: "modulo by zero"}
+		}
+		return l % r, nil
+	case token.EQ:
+		return boolToInt(l == r), nil
+	case token.NEQ:
+		return boolToInt(l != r), nil
+	case token.LT:
+		return boolToInt(l < r), nil
+	case token.LEQ:
+		return boolToInt(l <= r), nil
+	case token.GT:
+		return boolToInt(l > r), nil
+	case token.GEQ:
+		return boolToInt(l >= r), nil
+	}
+	return 0, &RuntimeError{Pos: e.node.Pos(), Msg: "bad binary operator"}
 }
 
 func boolToInt(b bool) int64 {

@@ -164,7 +164,7 @@ func TestZeroTripLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Arrays["A"]) != 0 || stats.Iterations != 0 {
+	if numCells(st, "A") != 0 || stats.Iterations != 0 {
 		t.Fatal("zero-trip loop executed")
 	}
 }
@@ -250,8 +250,10 @@ func TestElemKeyMatchesFmtEncoding(t *testing.T) {
 		}
 		st := NewState()
 		st.SetArrayN("A", subs, 42)
-		if _, ok := st.Arrays["A"][fmtKey(subs)]; !ok || st.GetArrayN("A", subs) != 42 {
-			t.Errorf("SetArrayN/GetArrayN(%v) do not round-trip through key %q", subs, fmtKey(subs))
+		var cells []string
+		st.Cells("A", func(idx []int64, v int64) { cells = append(cells, fmt.Sprintf("%s=%d", fmtKey(idx), v)) })
+		if want := fmtKey(subs) + "=42"; len(cells) != 1 || cells[0] != want || st.GetArrayN("A", subs) != 42 {
+			t.Errorf("SetArrayN/GetArrayN(%v) do not round-trip: cells %q, want [%q]", subs, cells, want)
 		}
 	}
 }
@@ -264,7 +266,7 @@ func TestDiffArraysMissingIsZero(t *testing.T) {
 	zeros, empty := NewState(), NewState()
 	zeros.SetArray("A", 3, 0)
 	zeros.SetArrayN("B", []int64{1, -2}, 0)
-	empty.Arrays["A"] = map[string]int64{}
+	empty.SetArray("A", 7, 0)
 	for _, pair := range [][2]*State{{zeros, empty}, {empty, zeros}} {
 		if d := DiffArrays(pair[0], pair[1]); d != "" {
 			t.Errorf("zero vs missing reported different: %q", d)
@@ -316,7 +318,7 @@ func TestShareInitCopiesOnStore(t *testing.T) {
 		if d := DiffArrays(got, want); d != "" {
 			t.Fatalf("run %d: shared-init result differs from a private copy: %s", run, d)
 		}
-		if d := DiffArrays(init, pristine); d != "" || len(init.Arrays["A"]) != 5 {
+		if d := DiffArrays(init, pristine); d != "" || numCells(init, "A") != 5 {
 			t.Fatalf("run %d: shared-init run mutated init: %s", run, d)
 		}
 	}
@@ -331,5 +333,39 @@ func TestCloneIsolation(t *testing.T) {
 	b.Scalars["x"] = 2
 	if a.GetArray("A", 1) != 5 || a.Scalars["x"] != 1 {
 		t.Fatal("clone not isolated")
+	}
+}
+
+// numCells counts the nonzero elements of array name.
+func numCells(st *State, name string) int {
+	n := 0
+	st.Cells(name, func([]int64, int64) { n++ })
+	return n
+}
+
+// TestArraysEqualAcrossBoxShapes compares arrays whose boxes share a low
+// corner but not a shape: the same six cells laid out 2×3 and 3×2 differ,
+// while a box padded with zeros equals the tight one.
+func TestArraysEqualAcrossBoxShapes(t *testing.T) {
+	count := func() func([]int64) int64 {
+		n := int64(0)
+		return func([]int64) int64 { n++; return n }
+	}
+	wide, tall := NewState(), NewState()
+	wide.FillBox("A", []int64{0, 0}, []int64{1, 2}, count())
+	tall.FillBox("A", []int64{0, 0}, []int64{2, 1}, count())
+	if ArraysEqual(wide, tall) || DiffArrays(wide, tall) == "" {
+		t.Fatal("2×3 and 3×2 boxes with the same cell sequence compare equal")
+	}
+	tight, padded := NewState(), NewState()
+	tight.FillBox("B", []int64{0}, []int64{1}, count())
+	padded.FillBox("B", []int64{0}, []int64{3}, func(idx []int64) int64 {
+		if idx[0] < 2 {
+			return idx[0] + 1
+		}
+		return 0
+	})
+	if !ArraysEqual(tight, padded) || !ArraysEqual(padded, tight) {
+		t.Fatalf("zero-padded box differs from the tight one: %s", DiffArrays(tight, padded))
 	}
 }

@@ -255,6 +255,15 @@ func TestReplayRejectsBogusWitness(t *testing.T) {
 	if err := lint.ReplayWitness(c.Program, c.Loop.Loop, &bogus); err == nil {
 		t.Error("corrupted witness replayed without error")
 	}
+	// References are matched by rendered text: a witness naming one the
+	// loop does not execute must not replay off another reference.
+	from, to := *v.Witness, *v.Witness
+	from.FromText, to.ToText = "A[i + 7]", "A[i + 7]"
+	for _, w := range []*lint.Witness{&from, &to} {
+		if err := lint.ReplayWitness(c.Program, c.Loop.Loop, w); err == nil {
+			t.Errorf("witness naming %s/%s, which the loop does not execute, replayed without error", w.FromText, w.ToText)
+		}
+	}
 }
 
 // TestPermutationCheckCatchesRacyLoop is the negative control of the

@@ -13,7 +13,6 @@ package lint
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -52,7 +51,8 @@ const (
 // environment's shared runs sit behind sync.Once.
 type runSet struct {
 	prog *ast.Program
-	free []string // freeScalars(prog)
+	code *interp.Compiled // prog, compiled once for all its runs
+	free []string         // freeScalars(prog)
 
 	mu   sync.Mutex
 	envs map[string]*envRuns // keyed by the free scalars' values
@@ -79,7 +79,7 @@ type envRuns struct {
 }
 
 func newRunSet(prog *ast.Program) *runSet {
-	return &runSet{prog: prog, free: freeScalars(prog), envs: map[string]*envRuns{}}
+	return &runSet{prog: prog, code: interp.Compile(prog), free: freeScalars(prog), envs: map[string]*envRuns{}}
 }
 
 // run executes the program from init under opts, counting the call. Runs
@@ -87,7 +87,7 @@ func newRunSet(prog *ast.Program) *runSet {
 func (rs *runSet) run(kind runKind, init *interp.State, opts *interp.Options) (*interp.State, error) {
 	rs.runs[kind].Add(1)
 	opts.ShareInit = true
-	st, _, err := interp.Run(rs.prog, init, opts)
+	st, _, err := rs.code.Run(init, opts)
 	return st, err
 }
 
@@ -172,6 +172,8 @@ func (rs *runSet) replayWitness(loop *ast.DoLoop, w *Witness) error {
 		sawEarly  bool
 		sawLate   bool
 		confirmed bool
+		// texts renders each executed reference once per replay.
+		texts = map[*ast.ArrayRef]string{}
 	)
 	opts := &interp.Options{
 		MaxSteps: dynamicMaxSteps,
@@ -195,15 +197,29 @@ func (rs *runSet) replayWitness(loop *ast.DoLoop, w *Witness) error {
 			if !active || confirmed || ref.Name != w.Array {
 				return
 			}
+			early := cur == w.IterEarly && isStore == w.FromStore
+			late := cur == w.IterLate && isStore == w.ToStore
+			if !early && !late {
+				return
+			}
+			text, ok := texts[ref]
+			if !ok {
+				text = ast.ExprString(ref)
+				texts[ref] = text
+			}
+			early = early && text == w.FromText
+			late = late && text == w.ToText
+			if !early && !late {
+				return
+			}
 			key := cellKey(idx)
-			text := ast.ExprString(ref)
-			if cur == w.IterEarly && isStore == w.FromStore && text == w.FromText {
+			if early {
 				sawEarly = true
 				if !w.HasCell || key == expected {
 					fromCells[key] = true
 				}
 			}
-			if cur == w.IterLate && isStore == w.ToStore && text == w.ToText {
+			if late {
 				sawLate = true
 				if fromCells[key] {
 					confirmed = true
@@ -392,20 +408,16 @@ func seededState(prog *ast.Program, env map[string]int64) *interp.State {
 		}
 		return true
 	})
-	names := make([]string, 0, len(ndims))
-	for n := range ndims {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		nd := ndims[name]
+	for name, nd := range ndims {
 		if nd == 0 {
 			continue
 		}
 		lo, hi := seedRanges(nd, declared[name])
-		cells := map[string]int64{}
-		seedArray(cells, name, make([]int64, 0, nd), lo, hi, make([]byte, 0, 64))
-		st.Arrays[name] = cells
+		key := make([]byte, 0, 64)
+		st.FillBox(name, lo, hi, func(idx []int64) int64 {
+			key = interp.AppendElemKey(key[:0], idx)
+			return seedValue(name, key)
+		})
 	}
 	return st
 }
@@ -440,26 +452,20 @@ func seedRanges(nd int, sizes []int64) (lo, hi []int64) {
 	return lo, hi
 }
 
-func seedArray(cells map[string]int64, name string, idx []int64, lo, hi []int64, key []byte) {
-	d := len(idx)
-	if d == len(lo) {
-		key = interp.AppendElemKey(key[:0], idx)
-		cells[string(key)] = seedValue(name, key)
-		return
-	}
-	for v := lo[d]; v <= hi[d]; v++ {
-		seedArray(cells, name, append(idx, v), lo, hi, key)
-	}
-}
-
 // seedValue derives a nonzero deterministic element value from the array
-// name and element key.
+// name and element key: the 32-bit FNV-1a hash of name, a zero byte and
+// key, reduced mod 997, plus one.
 func seedValue(name string, key []byte) int64 {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	h.Write([]byte{0})
-	h.Write(key)
-	return int64(h.Sum32()%997) + 1
+	const prime = 16777619
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint32(name[i])) * prime
+	}
+	h *= prime // the zero separator byte
+	for _, b := range key {
+		h = (h ^ uint32(b)) * prime
+	}
+	return int64(h%997) + 1
 }
 
 // cellKey matches the interpreter's element-key encoding.

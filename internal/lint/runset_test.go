@@ -166,3 +166,44 @@ enddo
 		}
 	}
 }
+
+// TestSeedValuesPinned pins seeded element values to the ones the
+// hash/fnv-based seeding produced: a changed byte would silently move
+// every permutation check onto different inputs. It also checks that a
+// seeded state holds them at the right subscripts.
+func TestSeedValuesPinned(t *testing.T) {
+	for _, c := range []struct {
+		name, key string
+		want      int64
+	}{
+		{"A", "1", 227},
+		{"A", "-4", 241},
+		{"B", "0", 511},
+		{"C", "3,7", 937},
+		{"X", "-4,-4,-4", 589},
+		{"data", "96", 603},
+		{"A", "1000000000", 325},
+		{"z", "", 568},
+	} {
+		if got := seedValue(c.name, []byte(c.key)); got != c.want {
+			t.Errorf("seedValue(%q, %q) = %d, want %d", c.name, c.key, got, c.want)
+		}
+	}
+	prog, err := parser.Parse("dim C[8, 8]\ndo i = 1, 4\n  A[i] := C[i, 7] + B[i]\nenddo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := seededState(prog, map[string]int64{"n": 5})
+	if a, b, c := st.GetArray("A", 1), st.GetArray("A", -4), st.GetArrayN("C", []int64{3, 7}); a != 227 || b != 241 || c != 937 {
+		t.Errorf("seeded A[1], A[-4], C[3, 7] = %d, %d, %d, want 227, 241, 937", a, b, c)
+	}
+	if got := st.GetArray("B", 0); got != 511 {
+		t.Errorf("seeded B[0] = %d, want 511", got)
+	}
+	if got := st.GetArray("A", 97); got != 0 {
+		t.Errorf("A[97] lies outside the seeded box but reads %d", got)
+	}
+	if st.Scalars["n"] != 5 {
+		t.Errorf("seeded scalars = %v, want n = 5", st.Scalars)
+	}
+}

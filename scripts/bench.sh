@@ -17,7 +17,10 @@
 # failure is the same-snapshot ratio (cmd/benchjson -ratio): disk-warm
 # whole-program analysis must run at no more than 0.5x the cold run —
 # the persistent cache's reason to exist, asserted within one machine's
-# measurements so it cannot drift with hardware.
+# measurements so it cannot drift with hardware. A third holds uncached
+# vet to at most 11x the analysis it runs on (BenchmarkVet/analyze: the
+# same front end and an uncached solve, without the analyzers), so dynamic
+# race certification cannot quietly grow back into most of vet's cost.
 #
 # A warm-restart phase then runs loadgen's embedded redeploy scenario
 # (cold traffic, in-memory memo reset, warm traffic that must answer from
@@ -42,6 +45,8 @@
 #   BENCH_RATIO        same-snapshot ratio spec NUM:DEN:FACTOR (default
 #                      holds disk-warm analysis to 0.5x cold; set empty
 #                      to skip)
+#   BENCH_VET_RATIO    second same-snapshot ratio spec (default holds
+#                      uncached vet to 11x its analysis; set empty to skip)
 #   SWEEP_BENCH        set to 0 to skip the symbolic-bound sweep phase
 #   SWEEP_OUT          sweep snapshot path (default BENCH_PR10.json)
 #   SWEEP_FLOOR        minimum provably-classified percentage (default 78)
@@ -59,11 +64,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_PR9.json}"
-PATTERN="${BENCH_PATTERN:-BenchmarkTable1InitPass|BenchmarkTable1FixedPoint|BenchmarkTable1FusedSolve|BenchmarkScalingLinear|BenchmarkDriverMemoization|BenchmarkFrontEnd|BenchmarkAnalyzeBatch|BenchmarkWarmStart|BenchmarkDiff}"
+PATTERN="${BENCH_PATTERN:-BenchmarkTable1InitPass|BenchmarkTable1FixedPoint|BenchmarkTable1FusedSolve|BenchmarkScalingLinear|BenchmarkDriverMemoization|BenchmarkFrontEnd|BenchmarkAnalyzeBatch|BenchmarkWarmStart|BenchmarkDiff|BenchmarkVet}"
 TIME="${BENCH_TIME:-1s}"
 BASELINE="${BENCH_BASELINE-BENCH_PR4.json}"
 GATE="${BENCH_GATE-BENCH_PR4.json:BenchmarkScalingLinear/.*/packed:1.25}"
 RATIO="${BENCH_RATIO-BenchmarkWarmStart/disk-warm:BenchmarkWarmStart/cold:0.5}"
+VET_RATIO="${BENCH_VET_RATIO-BenchmarkVet/uncached:BenchmarkVet/analyze:11}"
 
 TMP="$(mktemp)"
 RESTART_DIR="$(mktemp -d)"
@@ -88,6 +94,11 @@ if [ -n "$RATIO" ]; then
   # Hard gate within this snapshot: disk-warm analysis must be at most
   # half the cold time, or the persistent cache is not earning its keep.
   go run ./cmd/benchjson -ratio "$RATIO" "$OUT" > /dev/null
+fi
+if [ -n "$VET_RATIO" ]; then
+  # Hard gate within this snapshot: uncached vet may cost at most 11x its
+  # analysis (8.5x measured on a 2-vCPU VM, x1.3 headroom).
+  go run ./cmd/benchjson -ratio "$VET_RATIO" "$OUT" > /dev/null
 fi
 
 # ---- symbolic-bound sweep ---------------------------------------------------
