@@ -229,6 +229,33 @@ x := A(1000000000) + A(-1000000000) + B(1000000000, 1) + B(1, -1000000000) + A(8
 	}
 }
 
+// TestStridedStoresGrowGeometrically stores 1e5 elements at strides 5
+// and 7, in one and two dimensions. Such stores leave the box too sparse
+// to double at once, so they go to the overflow until enough elements
+// justify a doubling; a box grown by one stride at a time would be copied
+// whole on every store, some 1e10 cell copies per loop.
+func TestStridedStoresGrowGeometrically(t *testing.T) {
+	for _, ref := range []string{"A(5*i)", "A(7*i)", "B(2, 5*i)", "B(7*i, 3)"} {
+		prog := parser.MustParse(fmt.Sprintf("do i = 1, 100000\n  %s := i\nenddo\n", ref))
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		st, _, err := Run(prog, nil, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+			t.Errorf("%s: 1e5 strided stores allocated %d bytes, want < 64 MiB", ref, alloc)
+		}
+		n := 0
+		st.Cells(ref[:1], func([]int64, int64) { n++ })
+		if n != 100000 {
+			t.Errorf("%s: %d elements, want 100000", ref, n)
+		}
+	}
+}
+
 // TestArrayMatchesMap drives one array through random stores — near the
 // box, far from it, negative, zero values that erase elements, and
 // subscript tuples of another rank — and checks every read, the element

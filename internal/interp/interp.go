@@ -13,9 +13,9 @@
 // statements read scalars from a []int64 and count loads and stores per slot, and
 // subscripts are evaluated into one reused buffer, so an element access
 // neither allocates nor hashes a name. Each array is a row-major []int64
-// box with a low bound and extent per dimension: the box grows on a store
-// outside it, and a read outside it returns 0, so a missing element reads
-// as zero. A store whose grown box would be far larger than the elements in
+// box with a low bound and extent per dimension: the box at least doubles
+// on a store outside it, and a read outside it returns 0, so a missing
+// element reads as zero. A store whose grown box would be far larger than the elements in
 // use goes to a small sparse overflow instead, which keeps memory bounded
 // by what the program holds however far apart its subscripts are.
 package interp

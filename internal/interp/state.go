@@ -8,13 +8,14 @@ import (
 	"strings"
 )
 
-// Growth policy of an array's dense box. A store outside the box grows it
-// (with slack on the growing side, so a loop filling an array copies it
-// O(log n) times) unless the grown box would hold more than
-// max(denseMinCells, denseFactor × elements in use) cells; such a store
-// goes to the sparse overflow instead. Memory therefore stays within a
-// constant factor of the nonzero elements a program holds, however far
-// apart its subscripts are.
+// Growth policy of an array's dense box. A store outside the box grows it,
+// at least doubling each dimension that grows, unless the grown box would
+// hold more than max(denseMinCells, denseFactor × elements in use) cells;
+// such a store goes to the sparse overflow instead. Every grow therefore
+// at least doubles the cell count, so an array is copied O(log n) times
+// whatever the stride of its stores, and memory stays within a constant
+// factor of the nonzero elements a program holds, however far apart its
+// subscripts are.
 const (
 	denseMinCells = 1 << 12
 	denseFactor   = 8
@@ -249,10 +250,7 @@ func (a *array) grow(idx []int64) bool {
 	if limit < denseMinCells {
 		limit = denseMinCells
 	}
-	lo, ext, n, ok := a.cover(idx, true, limit)
-	if !ok {
-		lo, ext, n, ok = a.cover(idx, false, limit)
-	}
+	lo, ext, n, ok := a.cover(idx, limit)
 	if !ok {
 		return false
 	}
@@ -281,10 +279,11 @@ func (a *array) grow(idx []int64) bool {
 }
 
 // cover returns the bounds and cell count of the smallest box holding a's
-// box and idx — with slack, each dimension that grows at least doubles,
-// toward idx — or false when it would exceed limit cells or leave the
-// int64 range.
-func (a *array) cover(idx []int64, slack bool, limit uint64) (lo, ext []int64, n uint64, ok bool) {
+// box and idx in which each dimension that grows at least doubles, toward
+// idx, or false when it would exceed limit cells or leave the int64 range.
+// Growing to an exact fit instead would copy the whole box on every store
+// of a strided loop.
+func (a *array) cover(idx []int64, limit uint64) (lo, ext []int64, n uint64, ok bool) {
 	lo, ext, n = make([]int64, len(idx)), make([]int64, len(idx)), 1
 	for d, v := range idx {
 		l, e := a.lo[d], uint64(a.ext[d])
@@ -296,7 +295,7 @@ func (a *array) cover(idx []int64, slack bool, limit uint64) (lo, ext []int64, n
 		case v > hi:
 			need = uint64(v-l) + 1
 		}
-		if slack && need != e && need < 2*e {
+		if need != e && need < 2*e {
 			need = 2 * e
 		}
 		if need == 0 || need > limit || n > limit/need {

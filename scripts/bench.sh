@@ -45,8 +45,6 @@
 #   BENCH_RATIO        same-snapshot ratio spec NUM:DEN:FACTOR (default
 #                      holds disk-warm analysis to 0.5x cold; set empty
 #                      to skip)
-#   BENCH_VET_RATIO    second same-snapshot ratio spec (default holds
-#                      uncached vet to 11x its analysis; set empty to skip)
 #   SWEEP_BENCH        set to 0 to skip the symbolic-bound sweep phase
 #   SWEEP_OUT          sweep snapshot path (default BENCH_PR10.json)
 #   SWEEP_FLOOR        minimum provably-classified percentage (default 78)
@@ -69,7 +67,6 @@ TIME="${BENCH_TIME:-1s}"
 BASELINE="${BENCH_BASELINE-BENCH_PR4.json}"
 GATE="${BENCH_GATE-BENCH_PR4.json:BenchmarkScalingLinear/.*/packed:1.25}"
 RATIO="${BENCH_RATIO-BenchmarkWarmStart/disk-warm:BenchmarkWarmStart/cold:0.5}"
-VET_RATIO="${BENCH_VET_RATIO-BenchmarkVet/uncached:BenchmarkVet/analyze:11}"
 
 TMP="$(mktemp)"
 RESTART_DIR="$(mktemp -d)"
@@ -95,11 +92,9 @@ if [ -n "$RATIO" ]; then
   # half the cold time, or the persistent cache is not earning its keep.
   go run ./cmd/benchjson -ratio "$RATIO" "$OUT" > /dev/null
 fi
-if [ -n "$VET_RATIO" ]; then
-  # Hard gate within this snapshot: uncached vet may cost at most 11x its
-  # analysis (8.5x measured on a 2-vCPU VM, x1.3 headroom).
-  go run ./cmd/benchjson -ratio "$VET_RATIO" "$OUT" > /dev/null
-fi
+# Hard gate within this snapshot: uncached vet may cost at most 11x its
+# analysis (8.5x measured on a 2-vCPU VM, x1.3 headroom).
+go run ./cmd/benchjson -ratio "BenchmarkVet/uncached:BenchmarkVet/analyze:11" "$OUT" > /dev/null
 
 # ---- symbolic-bound sweep ---------------------------------------------------
 # Self-analysis precision, recorded as a trajectory point: cmd/corpus lowers
