@@ -484,6 +484,15 @@ func BenchmarkFrontEnd(b *testing.B) {
 			}
 		}
 	})
+	// normalize is sema.Normalize alone on the checked program: its one
+	// deep copy plus subscript canonicalization.
+	b.Run("normalize", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := sema.Normalize(prog); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // --- Batch: many programs through one worker pool ------------------------------

@@ -17,10 +17,21 @@ type sink interface {
 	WriteByte(c byte) error
 }
 
-// writeInt writes the decimal rendering of v without allocating.
+// writeInt writes the decimal rendering of v without allocating. The
+// digits go to the concrete sink types directly: passed through the sink
+// interface, the stack buffer would escape and cost an allocation per
+// literal.
 func writeInt(b sink, v int64) {
 	var buf [20]byte
-	b.Write(strconv.AppendInt(buf[:0], v, 10))
+	digits := strconv.AppendInt(buf[:0], v, 10)
+	switch w := b.(type) {
+	case *strings.Builder:
+		w.Write(digits)
+	case *Hasher:
+		w.Write(digits)
+	default:
+		b.WriteString(string(digits))
+	}
 }
 
 // writeIndent writes two spaces per depth level.
@@ -36,6 +47,9 @@ func ExprString(e Expr) string {
 	writeExpr(&b, e, 0)
 	return b.String()
 }
+
+// WriteExpr appends ExprString(e) to b without an intermediate string.
+func WriteExpr(b *strings.Builder, e Expr) { writeExpr(b, e, 0) }
 
 // Operator precedence levels for printing (higher binds tighter).
 func prec(op token.Kind) int {

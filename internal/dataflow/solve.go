@@ -55,6 +55,16 @@ func (c *Class) String() string {
 	return fmt.Sprintf("%s[%s]", c.Array, c.Form)
 }
 
+// WriteTo appends String()'s rendering to b; a class with members, the
+// only kind a solve produces, renders without an intermediate string.
+func (c *Class) WriteTo(b *strings.Builder) {
+	if len(c.Members) > 0 {
+		ast.WriteExpr(b, c.Members[0].Expr)
+		return
+	}
+	b.WriteString(c.String())
+}
+
 // Result is the fixed point solution of one problem instance on one graph.
 type Result struct {
 	Graph   *ir.Graph

@@ -6,6 +6,7 @@
 package diag
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -128,25 +129,30 @@ func (f Finding) String() string {
 // reader scans by), then analyzer ID, severity, message, and finally the
 // detail rendering as an ultimate tie-break.
 func Less(a, b Finding) bool {
-	if a.File != b.File {
-		return a.File < b.File
-	}
-	if a.Pos.Line != b.Pos.Line {
-		return a.Pos.Line < b.Pos.Line
-	}
-	if a.Pos.Col != b.Pos.Col {
-		return a.Pos.Col < b.Pos.Col
-	}
-	if a.Analyzer != b.Analyzer {
-		return a.Analyzer < b.Analyzer
-	}
-	if a.Severity != b.Severity {
-		return a.Severity > b.Severity // more severe first
-	}
-	if a.Message != b.Message {
-		return a.Message < b.Message
+	if c := compareHead(a, b); c != 0 {
+		return c < 0
 	}
 	return detailKey(a) < detailKey(b)
+}
+
+// compareHead is Less without the detail tie-break, as a three-way
+// comparison: 0 means the order falls to the detail keys.
+func compareHead(a, b Finding) int {
+	switch {
+	case a.File != b.File:
+		return cmp.Compare(a.File, b.File)
+	case a.Pos.Line != b.Pos.Line:
+		return cmp.Compare(a.Pos.Line, b.Pos.Line)
+	case a.Pos.Col != b.Pos.Col:
+		return cmp.Compare(a.Pos.Col, b.Pos.Col)
+	case a.Analyzer != b.Analyzer:
+		return cmp.Compare(a.Analyzer, b.Analyzer)
+	case a.Severity != b.Severity:
+		return cmp.Compare(b.Severity, a.Severity) // more severe first
+	case a.Message != b.Message:
+		return cmp.Compare(a.Message, b.Message)
+	}
+	return 0
 }
 
 func detailKey(f Finding) string {
@@ -160,29 +166,73 @@ func detailKey(f Finding) string {
 	sort.Strings(keys)
 	var b strings.Builder
 	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%s;", k, f.Detail[k])
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.WriteString(f.Detail[k])
+		b.WriteByte(';')
 	}
 	return b.String()
 }
 
-// Sort orders findings deterministically in place (see Less).
+// Sort orders findings deterministically in place (see Less). It sorts a
+// permutation and renders each finding's detail key at most once, and only
+// when a comparison ties on everything before it.
 func Sort(fs []Finding) {
-	sort.SliceStable(fs, func(i, j int) bool { return Less(fs[i], fs[j]) })
+	if len(fs) < 2 {
+		return
+	}
+	order := make([]int, len(fs))
+	for i := range order {
+		order[i] = i
+	}
+	keys := make([]string, len(fs))
+	keyed := make([]bool, len(fs))
+	key := func(i int) string {
+		if !keyed[i] {
+			keys[i], keyed[i] = detailKey(fs[i]), true
+		}
+		return keys[i]
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		if c := compareHead(fs[a], fs[b]); c != 0 {
+			return c < 0
+		}
+		return key(a) < key(b)
+	})
+	sorted := make([]Finding, len(fs))
+	for i, k := range order {
+		sorted[i] = fs[k]
+	}
+	copy(fs, sorted)
 }
 
-// Dedup removes exact duplicates from a sorted slice.
+// Dedup removes exact duplicates from a sorted slice. Each finding's
+// detail key is rendered at most once, and only for neighbours that agree
+// on everything else.
 func Dedup(fs []Finding) []Finding {
 	out := fs[:0]
+	var prevKey string
+	prevKeyed := false // prevKey holds fs[i-1]'s detail key
 	for i, f := range fs {
-		if i > 0 && equal(f, fs[i-1]) {
-			continue
+		key, keyed, dup := "", false, false
+		if i > 0 && equalHead(f, fs[i-1]) {
+			if !prevKeyed {
+				prevKey = detailKey(fs[i-1])
+			}
+			key, keyed = detailKey(f), true
+			dup = key == prevKey
 		}
-		out = append(out, f)
+		prevKey, prevKeyed = key, keyed
+		if !dup {
+			out = append(out, f)
+		}
 	}
 	return out
 }
 
-func equal(a, b Finding) bool {
+// equalHead reports that two findings agree on everything but the detail.
+func equalHead(a, b Finding) bool {
 	if a.File != b.File {
 		return false
 	}
@@ -196,7 +246,7 @@ func equal(a, b Finding) bool {
 			return false
 		}
 	}
-	return detailKey(a) == detailKey(b)
+	return true
 }
 
 // MaxSeverity returns the highest severity present (Info for an empty set,

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -135,5 +137,63 @@ func TestWriteJSONDeterministicAndEmpty(t *testing.T) {
 	}
 	if file.Findings == nil || len(file.Findings) != 0 {
 		t.Errorf("nil findings should render as an empty array: %s", buf.String())
+	}
+}
+
+// TestSortDedupMatchLess checks the key-caching Sort and Dedup against
+// their definitions on random findings that often tie up to the detail:
+// Sort must equal a stable sort by Less, and Dedup must keep exactly the
+// findings that differ from their predecessor in a field or in the detail
+// rendering.
+func TestSortDedupMatchLess(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pick := func(xs ...string) string { return xs[rng.Intn(len(xs))] }
+	same := func(a, b []Finding) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if !reflect.DeepEqual(a[i], b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for trial := 0; trial < 200; trial++ {
+		fs := make([]Finding, 1+rng.Intn(40))
+		for i := range fs {
+			f := Finding{
+				File:     pick("", "a.loop"),
+				Analyzer: pick("race", "reuse"),
+				Pos:      pos(1+rng.Intn(2), 1+rng.Intn(2)),
+				Severity: Severity(rng.Intn(3)),
+				Message:  pick("m", "n"),
+				Detail:   map[string]string{},
+			}
+			for k := rng.Intn(3); k > 0; k-- {
+				f.Detail[pick("a", "b", "c")] = pick("1", "2")
+			}
+			if rng.Intn(4) == 0 {
+				f.Related = []Related{{Pos: pos(9, 9), Message: "r"}}
+			}
+			fs[i] = f
+		}
+		want := append([]Finding(nil), fs...)
+		sort.SliceStable(want, func(i, j int) bool { return Less(want[i], want[j]) })
+		Sort(fs)
+		if !same(fs, want) {
+			t.Fatalf("trial %d: Sort differs from a stable sort by Less", trial)
+		}
+
+		var wantDedup []Finding
+		for i, f := range want {
+			if i > 0 && equalHead(f, want[i-1]) && detailKey(f) == detailKey(want[i-1]) {
+				continue
+			}
+			wantDedup = append(wantDedup, f)
+		}
+		if got := Dedup(fs); !same(got, wantDedup) {
+			t.Fatalf("trial %d: Dedup kept %d findings, want %d", trial, len(got), len(wantDedup))
+		}
 	}
 }

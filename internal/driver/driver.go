@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -514,38 +515,62 @@ func tightInnerOf(outer *ast.DoLoop) (*ast.DoLoop, bool) {
 // Report renders the whole-program findings.
 func (pa *ProgramAnalysis) Report() string {
 	var b strings.Builder
-	// Pre-size for the common shape: one header line per loop plus ~56
-	// bytes per reuse line. Underestimates only cost a regrow.
+	// Pre-size for the common shape: one header line per loop, ~72 bytes
+	// per reuse line (generated programs average 62-69) and ~48 per
+	// distance vector. An underestimate costs a regrow that copies the
+	// whole report, so the per-line figures err high.
 	size := 48
 	for _, la := range pa.Loops {
-		size += 40 + 56*len(la.Reuses())
+		size += 40 + 72*len(la.Reuses())
 		for _, rs := range la.wrt {
-			size += 64 * len(rs.materialize().reuses)
+			size += 80 * len(rs.materialize().reuses)
 		}
 	}
+	for _, rs := range pa.Vectors {
+		size += 48 + 48*len(rs)
+	}
 	b.Grow(size)
-	fmt.Fprintf(&b, "program analysis: %d loops (innermost first)\n", len(pa.Loops))
+	var buf [20]byte
+	b.WriteString("program analysis: ")
+	b.Write(strconv.AppendInt(buf[:0], int64(len(pa.Loops)), 10))
+	b.WriteString(" loops (innermost first)\n")
+	var ivs []string
 	for _, la := range pa.Loops {
-		fmt.Fprintf(&b, "loop %s (depth %d, %d nodes):\n", la.Loop.Var, la.Depth, len(la.Graph().Nodes))
+		b.WriteString("loop ")
+		b.WriteString(la.Loop.Var)
+		b.WriteString(" (depth ")
+		b.Write(strconv.AppendInt(buf[:0], int64(la.Depth), 10))
+		b.WriteString(", ")
+		b.Write(strconv.AppendInt(buf[:0], int64(len(la.Graph().Nodes)), 10))
+		b.WriteString(" nodes):\n")
 		for _, r := range la.Reuses() {
-			fmt.Fprintf(&b, "  reuse: %s\n", r)
+			b.WriteString("  reuse: ")
+			r.WriteTo(&b)
+			b.WriteByte('\n')
 		}
-		wrt := la.WRT()
-		ivs := make([]string, 0, len(wrt))
-		for iv := range wrt {
+		ivs = ivs[:0]
+		for iv := range la.wrt {
 			ivs = append(ivs, iv)
 		}
 		sort.Strings(ivs)
 		for _, iv := range ivs {
-			for _, r := range wrt[iv] {
-				fmt.Fprintf(&b, "  reuse wrt %s: %s\n", iv, r)
+			for _, r := range la.wrt[iv].materialize().reuses {
+				b.WriteString("  reuse wrt ")
+				b.WriteString(iv)
+				b.WriteString(": ")
+				r.WriteTo(&b)
+				b.WriteByte('\n')
 			}
 		}
 	}
 	for _, outer := range pa.vectorLoops() {
-		fmt.Fprintf(&b, "tight nest at %s: distance vectors:\n", outer.Var)
+		b.WriteString("tight nest at ")
+		b.WriteString(outer.Var)
+		b.WriteString(": distance vectors:\n")
 		for _, r := range pa.Vectors[outer] {
-			fmt.Fprintf(&b, "  %s\n", r)
+			b.WriteString("  ")
+			r.WriteTo(&b)
+			b.WriteByte('\n')
 		}
 	}
 	return b.String()

@@ -23,9 +23,10 @@ func TestReportAllocsBounded(t *testing.T) {
 
 	check := func(name, out string, allocs float64) {
 		lines := strings.Count(out, "\n") + 1
-		// ~13 allocs/line is the current cost (operand boxing plus the
-		// Sprintf calls inside Reuse.String); 16 leaves headroom while
-		// still catching per-line string materialization regressions.
+		// Metrics.Report formats with fmt, boxing its operands;
+		// ProgramAnalysis.Report renders without fmt in a few allocs per
+		// call. 16 per line leaves headroom while still catching per-line
+		// string materialization regressions.
 		cap := float64(16*lines + 16)
 		if allocs > cap {
 			t.Errorf("%s: %.0f allocs for %d lines, want ≤ %.0f", name, allocs, lines, cap)

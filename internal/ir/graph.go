@@ -251,7 +251,9 @@ func Build(loop *ast.DoLoop, opts *Options) (*Graph, error) {
 	if v, ok := sema.ConstValue(loop.Hi); ok {
 		g.UBConst, g.HasUB = v, true
 	}
-	b := &builder{g: g, opts: opts}
+	n := countRefs(loop.Body)
+	b := &builder{g: g, opts: opts, refs: make([]Ref, 0, n)}
+	g.Refs = make([]*Ref, 0, n)
 
 	heads, tails := b.buildBlock(loop.Body)
 
@@ -284,6 +286,47 @@ type builder struct {
 	// dims memoizes sema.DefaultDims per array so multi-dimensional
 	// references don't rebuild the symbolic dimension polynomials per ref.
 	dims map[string][]poly.Poly
+	// refs is the graph's Ref storage, sized by countRefs: addRef hands
+	// out its elements instead of allocating each Ref on its own. Were
+	// countRefs to undercount, append would only move the later Refs to a
+	// new array; those already handed out stay valid where they are.
+	refs []Ref
+}
+
+// countRefs counts the subscripted references Build records for a loop
+// body: the outermost array references of assignments and if conditions,
+// nested loops and branches included.
+func countRefs(stmts []ast.Stmt) int {
+	n := 0
+	count := func(e ast.Expr) {
+		ast.InspectExpr(e, func(nd ast.Node) bool {
+			if _, ok := nd.(*ast.ArrayRef); ok {
+				n++
+				return false
+			}
+			return true
+		})
+	}
+	var walk func(stmts []ast.Stmt)
+	walk = func(stmts []ast.Stmt) {
+		for _, s := range stmts {
+			switch st := s.(type) {
+			case *ast.Assign:
+				count(st.RHS)
+				if _, ok := st.LHS.(*ast.ArrayRef); ok {
+					n++
+				}
+			case *ast.If:
+				count(st.Cond)
+				walk(st.Then)
+				walk(st.Else)
+			case *ast.DoLoop:
+				walk(st.Body)
+			}
+		}
+	}
+	walk(stmts)
+	return n
 }
 
 func (b *builder) newNode(kind NodeKind) *Node {
@@ -538,14 +581,15 @@ func refSymbols(ref *ast.ArrayRef) []string {
 }
 
 func (b *builder) addRef(n *Node, kind RefKind, expr *ast.ArrayRef, fromInner bool) *Ref {
-	r := &Ref{
+	b.refs = append(b.refs, Ref{
 		ID:        len(b.g.Refs) + 1,
 		Node:      n,
 		Kind:      kind,
 		Array:     expr.Name,
 		Expr:      expr,
 		FromInner: fromInner,
-	}
+	})
+	r := &b.refs[len(b.refs)-1]
 	dims := b.opts.Dims[expr.Name]
 	if dims == nil && len(expr.Subs) > 1 {
 		if d, ok := b.dims[expr.Name]; ok && len(d) == len(expr.Subs) {

@@ -372,3 +372,45 @@ func TestMultiDimRefNonAffineMarking(t *testing.T) {
 		}
 	}
 }
+
+// TestCountRefsExact checks that countRefs predicts the Refs Build records,
+// so a graph's Refs come from one allocation, and that every Ref is a
+// distinct element whose ID matches its place in Graph.Refs.
+func TestCountRefsExact(t *testing.T) {
+	prog := parser.MustParse(fig1 + `
+do i = 1, N
+  if A[B[i]] > C[i] and D[i + 1] < 0 then
+    A[i] := A[i - 1]
+  else
+    do j = 1, 8
+      E[i, j] := E[i, j - 1] + F[j]
+      if G[j] > 0 then H[j] := 1
+    enddo
+  endif
+  x := A[i] + A[i + 2] * A[i + 3]
+enddo
+`)
+	var loops []*ast.DoLoop
+	ast.Inspect(prog.Body, func(n ast.Node) bool {
+		if dl, ok := n.(*ast.DoLoop); ok {
+			loops = append(loops, dl)
+		}
+		return true
+	})
+	for _, loop := range loops {
+		g, err := Build(loop, nil)
+		if err != nil {
+			t.Fatalf("loop over %s: %v", loop.Var, err)
+		}
+		if n := countRefs(loop.Body); n != len(g.Refs) {
+			t.Errorf("loop over %s: countRefs = %d, Build recorded %d", loop.Var, n, len(g.Refs))
+		}
+		seen := map[*Ref]bool{}
+		for i, r := range g.Refs {
+			if r.ID != i+1 || seen[r] {
+				t.Errorf("loop over %s: Refs[%d] has ID %d (seen before: %v)", loop.Var, i, r.ID, seen[r])
+			}
+			seen[r] = true
+		}
+	}
+}

@@ -290,18 +290,3 @@ func (l *Lexer) Next() token.Token {
 	l.errorf(pos, "illegal character %q", c)
 	return token.Token{Kind: token.ILLEGAL, Text: string(c), Pos: pos}
 }
-
-// All scans the entire input and returns every token including the final EOF.
-func (l *Lexer) All() []token.Token {
-	// Dense loop sources run just under 2 bytes per token, so len/2 lands
-	// within one growth step of the final size instead of doubling a
-	// multi-megabyte slice ~15 times from nil.
-	out := make([]token.Token, 0, len(l.src)/2+16)
-	for {
-		t := l.Next()
-		out = append(out, t)
-		if t.Kind == token.EOF {
-			return out
-		}
-	}
-}

@@ -59,9 +59,10 @@ type Context struct {
 	// position before the loop; reads of those arrays are assumed
 	// initialized by the earlier code.
 	DefinedBefore map[string]bool
-	// Src is the original source text when known ("" otherwise); analyzers
-	// use it to build suggested fixes that splice real lines.
-	Src string
+	// Lines indexes the original source text when known (nil otherwise);
+	// analyzers use it to build suggested fixes that splice real lines.
+	// One index serves every loop of a run.
+	Lines *diag.Lines
 	// Engine is the solver engine the analysis ran under; the self-check
 	// analyzer re-solves with the opposite engine and compares.
 	Engine dataflow.Engine
@@ -218,6 +219,10 @@ func RunOn(file string, pa *driver.ProgramAnalysis, opts *Options) []diag.Findin
 func runOn(file string, pa *driver.ProgramAnalysis, opts *Options, runs *runSet) []diag.Finding {
 	selected := selectAnalyzers(opts.Analyzers)
 	before := definedBefore(pa.Prog)
+	var lines *diag.Lines
+	if opts.Src != "" {
+		lines = diag.NewLines(opts.Src)
+	}
 	slots := make([][]diag.Finding, len(pa.Loops))
 	pa.ForEachLoop(opts.Parallelism, func(i int, la *driver.LoopAnalysis) {
 		ctx := &Context{
@@ -226,7 +231,7 @@ func runOn(file string, pa *driver.ProgramAnalysis, opts *Options, runs *runSet)
 			Info:          pa.Info,
 			Loop:          la,
 			DefinedBefore: before[la.Loop],
-			Src:           opts.Src,
+			Lines:         lines,
 			Engine:        opts.Engine,
 			Fuel:          opts.Fuel,
 			runs:          runs,

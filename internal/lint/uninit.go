@@ -151,12 +151,12 @@ func uninitMayFinding(u *ir.Ref, res *dataflow.Result) (diag.Finding, bool) {
 // (DefinedBefore) under which the analyzer accepts the read — so the fix
 // provably eliminates its finding and `vet -fix` converges.
 func uninitFix(c *Context, u *ir.Ref, bound string) (diag.SuggestedFix, bool) {
-	if c.Src == "" {
+	if c.Lines == nil {
 		return diag.SuggestedFix{}, false
 	}
 	loop := c.Loop.Loop
 	line := loop.Pos().Line
-	text, ok := diag.LineAt(c.Src, line)
+	text, ok := c.Lines.LineAt(line)
 	if !ok || !strings.HasPrefix(strings.TrimLeft(text, " \t"), "do") {
 		return diag.SuggestedFix{}, false
 	}
@@ -170,7 +170,7 @@ func uninitFix(c *Context, u *ir.Ref, bound string) (diag.SuggestedFix, bool) {
 		fmt.Sprintf("    %s[%s] := 0", u.Array, strings.Join(subs, ", ")),
 		"enddo",
 	}
-	edit, ok := diag.InsertLinesEdit(c.Src, line, lines)
+	edit, ok := c.Lines.InsertLinesEdit(line, lines)
 	if !ok {
 		return diag.SuggestedFix{}, false
 	}

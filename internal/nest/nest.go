@@ -13,6 +13,8 @@ package nest
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/poly"
@@ -51,8 +53,24 @@ type Recurrence struct {
 
 // String renders the recurrence.
 func (r Recurrence) String() string {
-	return fmt.Sprintf("%s %s -> %s vector %s", r.Kind,
-		ast.ExprString(r.From), ast.ExprString(r.To), r.Vec)
+	var b strings.Builder
+	r.WriteTo(&b)
+	return b.String()
+}
+
+// WriteTo appends String()'s rendering to b.
+func (r Recurrence) WriteTo(b *strings.Builder) {
+	var buf [20]byte
+	b.WriteString(r.Kind)
+	b.WriteByte(' ')
+	ast.WriteExpr(b, r.From)
+	b.WriteString(" -> ")
+	ast.WriteExpr(b, r.To)
+	b.WriteString(" vector (")
+	b.Write(strconv.AppendInt(buf[:0], r.Vec.Outer, 10))
+	b.WriteString(", ")
+	b.Write(strconv.AppendInt(buf[:0], r.Vec.Inner, 10))
+	b.WriteByte(')')
 }
 
 type refInfo struct {

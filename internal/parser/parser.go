@@ -59,9 +59,14 @@ func (l ErrorList) Error() string {
 	return b.String()
 }
 
+// parser pulls tokens from the lexer one at a time: tok is the single
+// token of lookahead, and the source is never materialized as a slice.
 type parser struct {
-	toks   []token.Token
-	pos    int
+	lx   *lexer.Lexer
+	tok  token.Token
+	ntok int // tokens consumed so far; parseBlock's no-progress check reads it
+	// errs holds the syntax errors only; parseLexer puts the lexical
+	// errors in front of them once the lexer has reached EOF.
 	errs   ErrorList
 	nextDo int // next DoLoop label
 }
@@ -81,21 +86,28 @@ func ParseBytes(src []byte, in *token.Interner) (*ast.Program, error) {
 }
 
 func parseLexer(lx *lexer.Lexer) (*ast.Program, error) {
-	toks := lx.All()
-	p := &parser{toks: toks, nextDo: 1}
-	for _, le := range lx.Errors() {
-		p.errs = append(p.errs, &Error{Pos: le.Pos, Msg: le.Msg})
-	}
-	prog := &ast.Program{Syms: lx.Interner(), Directives: lx.Directives()}
+	p := &parser{lx: lx, tok: lx.Next(), nextDo: 1}
+	prog := &ast.Program{Syms: lx.Interner()}
 	p.skipSeparators()
-	prog.Body = p.parseBlock(token.EOF)
+	prog.Body = p.parseBlock()
 	if p.cur().Kind != token.EOF {
 		p.errorf("unexpected %s at top level", p.cur())
 	}
-	if len(p.errs) > 0 {
-		return prog, p.errs
+	// Parsing can stop before EOF at top level; scanning on keeps the
+	// directive list and the lexical errors complete.
+	for p.tok.Kind != token.EOF {
+		p.tok = lx.Next()
 	}
-	return prog, nil
+	prog.Directives = lx.Directives()
+	lexErrs := lx.Errors()
+	if len(lexErrs)+len(p.errs) == 0 {
+		return prog, nil
+	}
+	errs := make(ErrorList, 0, len(lexErrs)+len(p.errs))
+	for _, le := range lexErrs {
+		errs = append(errs, &Error{Pos: le.Pos, Msg: le.Msg})
+	}
+	return prog, append(errs, p.errs...)
 }
 
 // MustParse parses src and panics on error. Intended for tests and examples
@@ -108,12 +120,14 @@ func MustParse(src string) *ast.Program {
 	return prog
 }
 
-func (p *parser) cur() token.Token { return p.toks[p.pos] }
+func (p *parser) cur() token.Token { return p.tok }
 
+// next consumes and returns the current token. EOF is never consumed.
 func (p *parser) next() token.Token {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.Kind != token.EOF {
-		p.pos++
+		p.tok = p.lx.Next()
+		p.ntok++
 	}
 	return t
 }
@@ -163,7 +177,7 @@ func (p *parser) syncStmt() {
 
 // parseBlock parses statements until one of the closers (ENDDO/ENDIF/ELSE) or
 // EOF is seen. The closer itself is not consumed.
-func (p *parser) parseBlock(closers ...token.Kind) []ast.Stmt {
+func (p *parser) parseBlock() []ast.Stmt {
 	var out []ast.Stmt
 	for {
 		p.skipSeparators()
@@ -171,12 +185,12 @@ func (p *parser) parseBlock(closers ...token.Kind) []ast.Stmt {
 		if k == token.EOF || k == token.ENDDO || k == token.ENDIF || k == token.ELSE {
 			return out
 		}
-		before := p.pos
+		before := p.ntok
 		s := p.parseStmt()
 		if s != nil {
 			out = append(out, s)
 		}
-		if p.pos == before {
+		if p.ntok == before {
 			// No progress: drop the offending token to guarantee termination.
 			p.errorf("unexpected %s", p.cur())
 			p.next()

@@ -5,6 +5,8 @@ package problems
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/dataflow"
@@ -87,10 +89,25 @@ type Reuse struct {
 	Distance int64
 }
 
-// String renders e.g. "use C[i] reuses C[i+2] @ distance 2".
+// String renders e.g. "use C[i]@n3 reuses C[i + 2] @ distance 2".
 func (r Reuse) String() string {
-	return fmt.Sprintf("%s %s@n%d reuses %s @ distance %d",
-		r.At.Kind, ast.ExprString(r.At.Expr), r.At.Node.ID, r.From, r.Distance)
+	var b strings.Builder
+	r.WriteTo(&b)
+	return b.String()
+}
+
+// WriteTo appends String()'s rendering to b.
+func (r Reuse) WriteTo(b *strings.Builder) {
+	var buf [20]byte
+	b.WriteString(r.At.Kind.String())
+	b.WriteByte(' ')
+	ast.WriteExpr(b, r.At.Expr)
+	b.WriteString("@n")
+	b.Write(strconv.AppendInt(buf[:0], int64(r.At.Node.ID), 10))
+	b.WriteString(" reuses ")
+	r.From.WriteTo(b)
+	b.WriteString(" @ distance ")
+	b.Write(strconv.AppendInt(buf[:0], r.Distance, 10))
 }
 
 // FindReuses inspects a must-problem solution (must-reaching definitions or

@@ -534,28 +534,32 @@ func defaultFuel(nFacts int) int64 {
 	return f
 }
 
+// keyedFact is a fact with its canonical rendering, the sort and dedupe key.
+type keyedFact struct {
+	key  string
+	fact Fact
+}
+
 // solve canonicalizes the fact set and runs the interval narrowing
 // fixpoint under the fuel budget.
 func solve(facts []Fact, fuel int64) *Facts {
 	// Canonical order + dedupe: deterministic queries, Describe, and
 	// Signature at every parallelism setting.
-	sort.SliceStable(facts, func(i, j int) bool {
-		si, sj := facts[i].String(), facts[j].String()
-		return si < sj
-	})
-	dst := facts[:0:0]
-	var prev string
-	for _, fa := range facts {
-		if s := fa.String(); s != prev {
-			dst = append(dst, fa)
-			prev = s
-		}
+	// Each fact is rendered once; sort, dedupe and Signature all work on
+	// the rendered keys.
+	keyed := make([]keyedFact, len(facts))
+	for i, fa := range facts {
+		keyed[i] = keyedFact{key: fa.String(), fact: fa}
 	}
-	facts = dst
-
+	sort.SliceStable(keyed, func(i, j int) bool { return keyed[i].key < keyed[j].key })
+	facts = nil
 	var sigs []string
-	for _, fa := range facts {
-		sigs = append(sigs, fa.String())
+	for i, kf := range keyed {
+		if i > 0 && kf.key == keyed[i-1].key {
+			continue
+		}
+		facts = append(facts, kf.fact)
+		sigs = append(sigs, kf.key)
 	}
 	f := &Facts{facts: facts, iv: map[string]Interval{}, sig: strings.Join(sigs, ";")}
 

@@ -291,3 +291,28 @@ func TestDescribeCaps(t *testing.T) {
 		t.Error("empty Describe must be none")
 	}
 }
+
+// TestCanonicalOrderAndDedup pins the canonical fact order, the removal of
+// duplicates (equal renderings), and the exact Signature text.
+func TestCanonicalOrderAndDedup(t *testing.T) {
+	n, m := poly.Sym("n"), poly.Sym("m")
+	f := New([]Fact{
+		NonNeg(m.Sub(n), "guard"),
+		Positive(n, "loop bound"),
+		NonNeg(poly.Const(10).Sub(n), "loop bound"),
+		Positive(n, "loop bound"),
+		NonNeg(m.Sub(n), "guard"),
+		Positive(n, "dim"),
+	}, 0)
+	const wantSig = "-n + 10 >= 0 (loop bound);m - n >= 0 (guard);n >= 1 (dim);n >= 1 (loop bound)"
+	if got := f.Signature(); got != wantSig {
+		t.Errorf("Signature = %q, want %q", got, wantSig)
+	}
+	var got []string
+	for _, fa := range f.Facts() {
+		got = append(got, fa.String())
+	}
+	if strings.Join(got, ";") != wantSig {
+		t.Errorf("Facts = %q, want the Signature's facts in its order", got)
+	}
+}

@@ -102,12 +102,25 @@ func SortedSymbols(p poly.Poly) []string {
 // Non-polynomial subscripts are left unchanged.
 func CanonicalizeSubscripts(prog *ast.Program) *ast.Program {
 	out := &ast.Program{Body: ast.CloneStmts(prog.Body), Syms: prog.Syms, Directives: prog.Directives}
-	ast.Inspect(out.Body, func(n ast.Node) bool {
+	canonicalizeStmts(out.Body)
+	return out
+}
+
+// canonicalizeStmts is CanonicalizeSubscripts in place, for trees the
+// caller has just built and owns.
+func canonicalizeStmts(body []ast.Stmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
 		ref, ok := n.(*ast.ArrayRef)
 		if !ok {
 			return true
 		}
 		for k, sub := range ref.Subs {
+			if canonicalShape(sub) {
+				// PolyToExpr would rebuild sub node for node; keep it and
+				// clear what the rebuilt nodes would lack.
+				clearLeafIdentity(sub)
+				continue
+			}
 			p, err := ExprToPoly(sub)
 			if err != nil {
 				continue
@@ -118,5 +131,50 @@ func CanonicalizeSubscripts(prog *ast.Program) *ast.Program {
 		}
 		return false // subscripts of subscripts were handled by ExprToPoly
 	})
-	return out
+}
+
+// canonicalShape reports that e already has the exact structure
+// PolyToExpr(ExprToPoly(e)) builds: a literal, a variable v, c*v with
+// c > 1, or one of the last two plus or minus a positive literal. These
+// are the subscripts programs are written with. Only source positions and
+// interned symbols differ from the rebuilt tree; clearLeafIdentity zeroes
+// them. TestCanonicalShapeMatchesPolyToExpr pins the shapes.
+func canonicalShape(e ast.Expr) bool {
+	if _, ok := e.(*ast.IntLit); ok {
+		return true
+	}
+	if b, ok := e.(*ast.Binary); ok && (b.Op == token.PLUS || b.Op == token.MINUS) {
+		if c, ok := b.R.(*ast.IntLit); ok && c.Value > 0 {
+			return linearTerm(b.L)
+		}
+	}
+	return linearTerm(e)
+}
+
+// linearTerm matches v or c*v (c > 1) for a variable v PolyToExpr can
+// render (no DefaultDims stride symbol).
+func linearTerm(e ast.Expr) bool {
+	if b, ok := e.(*ast.Binary); ok && b.Op == token.STAR {
+		c, ok := b.L.(*ast.IntLit)
+		if !ok || c.Value <= 1 {
+			return false
+		}
+		e = b.R
+	}
+	id, ok := e.(*ast.Ident)
+	return ok && !strings.Contains(id.Name, "#")
+}
+
+// clearLeafIdentity zeroes the positions and intern symbols of e's leaves,
+// which PolyToExpr's freshly built nodes do not carry.
+func clearLeafIdentity(e ast.Expr) {
+	ast.InspectExpr(e, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.Ident:
+			x.NamePos, x.Sym = token.Pos{}, 0
+		case *ast.IntLit:
+			x.LitPos = token.Pos{}
+		}
+		return true
+	})
 }

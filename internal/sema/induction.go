@@ -159,7 +159,9 @@ func RemoveDerivedIVs(prog *ast.Program, idx int) (*ast.Program, []RemovedIV, er
 			out.Body = append(out.Body, ast.CloneStmt(s))
 		}
 	}
-	return CanonicalizeSubscripts(out), removed, nil
+	// out was built fresh above, so it is canonicalized in place.
+	canonicalizeStmts(out.Body)
+	return out, removed, nil
 }
 
 // matchSelfIncrement recognizes j := j + c and j := j − c (and the

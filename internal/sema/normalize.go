@@ -17,6 +17,11 @@ import (
 // by  lo + (i−1)·s. Loops already in normal form are returned unchanged
 // (structurally copied). A loop whose step is not a nonzero integer constant
 // is an error.
+//
+// The input is not modified. The copy is made once: normalizeBlock builds a
+// fresh tree, and substitution and canonicalization rewrite that tree in
+// place, so no node is shared with the input or between two places of the
+// output.
 func Normalize(prog *ast.Program) (*ast.Program, error) {
 	body, err := normalizeBlock(prog.Body)
 	if err != nil {
@@ -26,7 +31,8 @@ func Normalize(prog *ast.Program) (*ast.Program, error) {
 	// canonicalization collapses it back to affine form ("3*i"). The intern
 	// table and lint directives carry over: normalization rewrites
 	// statements, not identities or comments.
-	return CanonicalizeSubscripts(&ast.Program{Body: body, Syms: prog.Syms, Directives: prog.Directives}), nil
+	canonicalizeStmts(body)
+	return &ast.Program{Body: body, Syms: prog.Syms, Directives: prog.Directives}, nil
 }
 
 func normalizeBlock(body []ast.Stmt) ([]ast.Stmt, error) {
@@ -90,12 +96,61 @@ func normalizeLoop(st *ast.DoLoop) (*ast.DoLoop, error) {
 	iv := &ast.Ident{Name: st.Var}
 	ub := simplify(add(div(sub(ast.CloneExpr(st.Hi), ast.CloneExpr(st.Lo)), lit(step)), lit(1)))
 	repl := simplify(add(ast.CloneExpr(st.Lo), mul(sub(iv, lit(1)), lit(step))))
-	body = ast.SubstituteIdentStmts(body, st.Var, repl)
+	replaceIdentStmts(body, st.Var, repl)
 
 	return &ast.DoLoop{
 		DoPos: st.DoPos, Var: st.Var, Label: st.Label,
 		Lo: lit(1), Hi: ub, Body: body,
 	}, nil
+}
+
+// replaceIdentStmts is ast.SubstituteIdentStmts in place, for the fresh
+// tree normalizeBlock builds: every scalar use of name becomes its own
+// deep copy of repl, so no node is shared between two sites or with repl.
+// Assignments to name and the bodies of inner loops that shadow it are
+// left intact, as in ast.SubstituteIdentStmts.
+func replaceIdentStmts(list []ast.Stmt, name string, repl ast.Expr) {
+	for _, s := range list {
+		switch st := s.(type) {
+		case *ast.DoLoop:
+			st.Lo = replaceIdent(st.Lo, name, repl)
+			st.Hi = replaceIdent(st.Hi, name, repl)
+			if st.Step != nil {
+				st.Step = replaceIdent(st.Step, name, repl)
+			}
+			if st.Var != name {
+				replaceIdentStmts(st.Body, name, repl)
+			}
+		case *ast.If:
+			st.Cond = replaceIdent(st.Cond, name, repl)
+			replaceIdentStmts(st.Then, name, repl)
+			replaceIdentStmts(st.Else, name, repl)
+		case *ast.Assign:
+			st.LHS = replaceIdent(st.LHS, name, repl)
+			st.RHS = replaceIdent(st.RHS, name, repl)
+		}
+	}
+}
+
+// replaceIdent rewrites e in place and returns it, or returns a copy of
+// repl when e itself is the identifier.
+func replaceIdent(e ast.Expr, name string, repl ast.Expr) ast.Expr {
+	switch ex := e.(type) {
+	case *ast.Ident:
+		if ex.Name == name {
+			return ast.CloneExpr(repl)
+		}
+	case *ast.ArrayRef:
+		for i, s := range ex.Subs {
+			ex.Subs[i] = replaceIdent(s, name, repl)
+		}
+	case *ast.Binary:
+		ex.L = replaceIdent(ex.L, name, repl)
+		ex.R = replaceIdent(ex.R, name, repl)
+	case *ast.Unary:
+		ex.X = replaceIdent(ex.X, name, repl)
+	}
+	return e
 }
 
 // constValue evaluates a constant integer expression.
